@@ -67,11 +67,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				note = " (exact)"
 			}
 			lo, med, hi := c.ConeSizes()
-			dense, actual, err := c.ConeMemory("auto")
-			if err != nil {
-				fmt.Fprintf(stderr, "circstat: %v\n", err)
-				return 1
-			}
+			dense, actual := c.ConeMemory()
 			g := float64(s.Gates)
 			fmt.Fprintf(stdout, "%-8s %5d %5d %5d %7d %7d %9d %7d %7d %7d %5.1f%% %5.1f%% %5.1f%% %10d %10d%s\n",
 				s.Name, s.PIs, s.POs, s.DFFs, s.Gates, s.Stems, s.Branches, s.Lines, s.Faults, s.MaxLevel,
@@ -108,8 +104,7 @@ func topoReport(w io.Writer, c *atpg.Circuit) {
 	fmt.Fprintf(w, "  fanout cones (gates): min %d median %d max %d of %d (%.1f%% / %.1f%% / %.1f%%)\n",
 		lo, med, hi, g,
 		100*float64(lo)/float64(g), 100*float64(med)/float64(g), 100*float64(hi)/float64(g))
-	if dense, actual, err := c.ConeMemory("auto"); err == nil {
-		fmt.Fprintf(w, "  cone-set memory: dense matrix %d bytes, auto policy %d bytes (%.1f%%)\n",
-			dense, actual, 100*float64(actual)/float64(dense))
-	}
+	dense, actual := c.ConeMemory()
+	fmt.Fprintf(w, "  cone-set memory: dense matrix %d bytes, per-stem sets %d bytes (%.1f%%)\n",
+		dense, actual, 100*float64(actual)/float64(dense))
 }

@@ -32,16 +32,14 @@ func TestSeedFlagReachesEngine(t *testing.T) {
 	}
 }
 
-// TestFullEvalFlagReachesEngine pins the -fulleval oracle knob for
-// table3.
-func TestFullEvalFlagReachesEngine(t *testing.T) {
-	var stderr bytes.Buffer
-	cfg, err := parseArgs([]string{"-fulleval"}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.engineConfig().FullEval {
-		t.Fatal("-fulleval did not reach the config")
+// TestRemovedFlagsRejected: the reference-oracle and scheduling flags
+// are gone and must be usage errors, not silently accepted.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-fulleval", "-scalarsearch", "-broadcast", "-steal", "-conesets=auto"} {
+		var stderr bytes.Buffer
+		if _, err := parseArgs([]string{flag}, &stderr); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 }
 

@@ -37,11 +37,6 @@ type config struct {
 	workers   int
 	compact   bool
 	seed      int64
-	fullEval  bool
-	scalarS   bool
-	broadcast bool
-	steal     bool
-	coneSets  string
 	maxTarg   int
 	timeout   time.Duration
 	cpuProf   string
@@ -72,13 +67,8 @@ func parseArgs(argv []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&cfg.workers, "workers", 0, "ATPG worker count (0 = all CPUs, <0 = single worker); results are identical at any count")
 	fs.Int64Var(&cfg.seed, "seed", 0, "run seed: drives the random X-fill, the ADI ordering campaign and the splice fills (one seed, one Result, at any worker count)")
 	fs.BoolVar(&cfg.compact, "compact", false, "compact the test set (reverse-order drop + overlap merge) after generation")
-	fs.BoolVar(&cfg.fullEval, "fulleval", false, "force full levelized simulation instead of the event-driven cone kernels (reference oracle; results are identical)")
-	fs.BoolVar(&cfg.scalarS, "scalarsearch", false, "force the scalar reference path of the generation-phase search instead of the 64-lane batched X-fill trials and decision probes (reference oracle; results are identical)")
 	fs.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile (taken after the run) to this file")
-	fs.BoolVar(&cfg.broadcast, "broadcast", false, "cross-worker detected-set broadcast (pure scheduling; results are identical)")
-	fs.BoolVar(&cfg.steal, "steal", false, "work-stealing claim ranges instead of the shared counter (pure scheduling; results are identical)")
-	fs.StringVar(&cfg.coneSets, "conesets", "auto", "cone-set representation: auto, dense or compressed (memory/speed trade; results are identical)")
 	fs.IntVar(&cfg.maxTarg, "maxtargets", 0, "budget the run to the first N targeting positions (0 = the whole universe)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock deadline for the run (e.g. 30s, 5m; 0 = none); an expired run still writes the committed-prefix partial result and exits 3")
 	fs.StringVar(&cfg.order, "order", "natural", "fault-targeting order: natural, topo, scoap or adi")
@@ -123,11 +113,6 @@ func (cfg *config) engineConfig() atpg.Config {
 		Seed:            cfg.seed,
 		Workers:         cfg.workers,
 		Compact:         cfg.compact,
-		FullEval:        cfg.fullEval,
-		ScalarSearch:    cfg.scalarS,
-		Broadcast:       cfg.broadcast,
-		Steal:           cfg.steal,
-		ConeSets:        cfg.coneSets,
 		MaxTargets:      cfg.maxTarg,
 	}
 }
@@ -210,14 +195,7 @@ func run(cfg *config, stdout, stderr io.Writer) int {
 			ticked := false
 			for ev := range events {
 				if ev.Kind == atpg.EventProgress {
-					line := fmt.Sprintf("\rtdatpg: %d/%d faults", ev.Done, ev.Total)
-					if ev.Skipped > 0 {
-						line += fmt.Sprintf(", %d skipped", ev.Skipped)
-					}
-					if ev.Stolen > 0 {
-						line += fmt.Sprintf(", %d steals", ev.Stolen)
-					}
-					fmt.Fprint(stderr, line)
+					fmt.Fprintf(stderr, "\rtdatpg: %d/%d faults", ev.Done, ev.Total)
 					ticked = true
 				}
 			}
@@ -258,10 +236,6 @@ func run(cfg *config, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, c.Stats())
 	fmt.Fprintf(stdout, "model=%s order=%s tested=%d (explicit %d) untestable=%d aborted=%d patterns=%d time=%v\n",
 		res.Algebra, res.Order, res.Tested, res.Explicit, res.Untestable, res.Aborted, res.Patterns, res.Runtime)
-	if res.BroadcastSkips > 0 || res.Steals > 0 {
-		fmt.Fprintf(stdout, "scale-out: %d broadcast skips (%d regenerated), %d steals\n",
-			res.BroadcastSkips, res.BroadcastMisses, res.Steals)
-	}
 	if st := res.Compaction; st != nil {
 		fmt.Fprintf(stdout, "compaction: vectors %d -> %d, sequences %d -> %d (%d dropped, %d pairs spliced saving %d vectors)\n",
 			st.PatternsBefore, st.PatternsAfter, st.Sequences, st.Kept, st.Dropped, st.Splices, st.SplicedFrames)

@@ -32,10 +32,11 @@ func writeBench(t *testing.T) string {
 
 // TestSeedFlagReachesEngine pins the -seed satellite fix: the flag value
 // must land in the public Config (the session derives the X-fill
-// streams, the ADI ordering campaign and the splice fills from it).
+// streams, the ADI ordering campaign and the splice fills from it). The
+// profiling flags must survive parsing alongside it.
 func TestSeedFlagReachesEngine(t *testing.T) {
 	var stderr bytes.Buffer
-	cfg, err := parseArgs([]string{"-seed", "12345", "-order", "adi", "-compact", "circuit.bench"}, &stderr)
+	cfg, err := parseArgs([]string{"-seed", "12345", "-order", "adi", "-compact", "-cpuprofile", "cpu.out", "-memprofile", "mem.out", "circuit.bench"}, &stderr)
 	if err != nil {
 		t.Fatalf("parseArgs: %v (stderr: %s)", err, stderr.String())
 	}
@@ -52,24 +53,19 @@ func TestSeedFlagReachesEngine(t *testing.T) {
 	if cfg.bench != "circuit.bench" {
 		t.Fatalf("bench arg = %q", cfg.bench)
 	}
-}
-
-// TestFullEvalFlagReachesEngine pins the -fulleval oracle knob and that
-// the profiling flags survive parsing.
-func TestFullEvalFlagReachesEngine(t *testing.T) {
-	var stderr bytes.Buffer
-	cfg, err := parseArgs([]string{"-fulleval", "-compact", "-cpuprofile", "cpu.out", "-memprofile", "mem.out", "circuit.bench"}, &stderr)
-	if err != nil {
-		t.Fatalf("parseArgs: %v (stderr: %s)", err, stderr.String())
-	}
-	if !cfg.engineConfig().FullEval {
-		t.Fatal("config FullEval not set")
-	}
 	if cfg.cpuProf != "cpu.out" || cfg.memProf != "mem.out" {
 		t.Fatalf("profile paths lost: cpu=%q mem=%q", cfg.cpuProf, cfg.memProf)
 	}
-	if cfg2, err := parseArgs([]string{"circuit.bench"}, &stderr); err != nil || cfg2.engineConfig().FullEval {
-		t.Fatal("FullEval must default to off (event-driven kernels)")
+}
+
+// TestRemovedFlagsRejected: the reference-oracle and scheduling flags
+// are gone and must be usage errors, not silently accepted.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-fulleval", "-scalarsearch", "-broadcast", "-steal", "-conesets=auto"} {
+		var stderr bytes.Buffer
+		if _, err := parseArgs([]string{flag, "circuit.bench"}, &stderr); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 }
 

@@ -19,12 +19,12 @@
 // change shape freely between commits. The simulation substrate shared
 // by sim, tdsim, fausim and semilet is the flat CSR topology
 // (sim.Topology: structure-of-arrays fanin/fanout edge arrays,
-// level-bucketed gate order, fanout-cone bitsets); every evaluator
-// exists both as a full levelized walk and as an event-driven
-// selective-trace kernel over that topology which re-evaluates only the
-// fanout cones of changed sources, bit-identical by contract
-// (core.Options.FullEval forces the full walks as the reference
-// oracle). Command line tools live under cmd/ and runnable examples
+// level-bucketed gate order); the simulators exist both as full
+// levelized walks and as event-driven selective-trace kernels over that
+// topology which re-evaluate only the fanout cones of changed sources,
+// bit-identical by contract (core.Options.FullEval, reachable from
+// tests only, forces the full walks as the reference oracle). Command
+// line tools live under cmd/ and runnable examples
 // under examples/, all consuming pkg/atpg exclusively — with the
 // sanctioned exceptions listed, with their reasons, in internal/lint's
 // exemption table: chiefly cmd/atpgd, the ATPG-as-a-service daemon, a

@@ -1,175 +1,23 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// claimer hands targeting positions to workers. Claim order is pure
-// scheduling — the merge loop commits outcomes in canonical permutation
-// order whatever the claimer does — so implementations only guarantee
+// claimer hands targeting positions to workers: one shared atomic,
+// positions handed out globally in ascending order from lo. Claim order
+// is pure scheduling — the merge loop commits outcomes in canonical
+// permutation order whatever the claimer does — so the only guarantee is
 // that every position in the run's [lo, hi) window is handed out exactly
 // once. The window is the whole targeted prefix for an ordinary run and
-// a sub-range of it for a shard (Options.ShardLo/ShardHi); striping and
-// stealing never leave the window.
-type claimer interface {
-	// claim returns the next position for worker self, or ok=false when
-	// no work remains anywhere.
-	claim(self int) (p int, ok bool)
-	// steals reports how many range-stealing operations happened.
-	steals() int64
-}
-
-// counterClaimer is the stock monotone claim counter: one shared atomic,
-// positions handed out globally in ascending order from lo. Its claim
-// order tracks the commit cursor closely, which keeps the merge loop's
+// a sub-range of it for a shard (Options.ShardLo/ShardHi). Ascending
+// claims track the commit cursor closely, which keeps the merge loop's
 // reorder buffer at O(workers).
-type counterClaimer struct {
+type claimer struct {
 	next   atomic.Int64
 	lo, hi int
 }
 
-func newCounterClaimer(lo, hi int) *counterClaimer { return &counterClaimer{lo: lo, hi: hi} }
-
-func (c *counterClaimer) claim(int) (int, bool) {
-	p := c.lo + int(c.next.Add(1)) - 1
+// claim returns the next position, or ok=false when no work remains.
+func (c *claimer) claim() (p int, ok bool) {
+	p = c.lo + int(c.next.Add(1)) - 1
 	return p, p < c.hi
 }
-
-func (c *counterClaimer) steals() int64 { return 0 }
-
-// stealClaimer gives every worker a private striped position range —
-// worker k starts on positions lo+k, lo+k+W, lo+k+2W, … — and lets a
-// worker whose range ran dry steal the back half of the largest
-// remaining range. The stripes keep every worker's claims interleaved
-// around the commit cursor (a contiguous split would park worker W-1's
-// outcomes in the reorder buffer until the whole front of the window
-// committed), while the private ranges remove the shared counter from
-// the claim fast path and keep each worker walking adjacent faults of
-// its own stripe.
-type stealClaimer struct {
-	stride int
-	ranges []stripe
-	count  atomic.Int64
-}
-
-// stripe is one worker's current claim range: positions next, next+W, …
-// strictly below end. Both fields move only under mu; the mutex is
-// uncontended except during a steal.
-type stripe struct {
-	mu        sync.Mutex
-	next, end int
-}
-
-// remaining counts the positions left in the stripe; callers hold mu.
-func (s *stripe) remaining(stride int) int {
-	if s.next >= s.end {
-		return 0
-	}
-	return (s.end - s.next + stride - 1) / stride
-}
-
-// newStealClaimer stripes [lo, hi) across the workers.
-func newStealClaimer(lo, hi, workers int) *stealClaimer {
-	c := &stealClaimer{stride: workers, ranges: make([]stripe, workers)}
-	for i := range c.ranges {
-		c.ranges[i] = stripe{next: lo + i, end: hi}
-	}
-	return c
-}
-
-func (c *stealClaimer) claim(self int) (int, bool) {
-	r := &c.ranges[self]
-	for {
-		r.mu.Lock()
-		if r.next < r.end {
-			p := r.next
-			r.next += c.stride
-			r.mu.Unlock()
-			return p, true
-		}
-		r.mu.Unlock()
-		if !c.steal(self) {
-			return 0, false
-		}
-	}
-}
-
-// steal moves the back half of the largest remaining range into self's
-// stripe. Singleton ranges are left alone — their owner claims the last
-// position on its next call, and splitting work the victim is about to
-// take would only bounce it between mutexes. Returns false when no range
-// holds two or more positions, which is the worker's signal to exit.
-func (c *stealClaimer) steal(self int) bool {
-	for {
-		victim, best := -1, 1
-		for i := range c.ranges {
-			if i == self {
-				continue
-			}
-			v := &c.ranges[i]
-			v.mu.Lock()
-			rem := v.remaining(c.stride)
-			v.mu.Unlock()
-			if rem > best {
-				victim, best = i, rem
-			}
-		}
-		if victim < 0 {
-			return false
-		}
-		v := &c.ranges[victim]
-		v.mu.Lock()
-		rem := v.remaining(c.stride)
-		if rem < 2 {
-			// Raced with the victim (or another thief); rescan.
-			v.mu.Unlock()
-			continue
-		}
-		keep := (rem + 1) / 2
-		cut := v.next + keep*c.stride
-		start, end := cut, v.end
-		v.end = cut
-		v.mu.Unlock()
-
-		r := &c.ranges[self]
-		r.mu.Lock()
-		r.next, r.end = start, end
-		r.mu.Unlock()
-		c.count.Add(1)
-		return true
-	}
-}
-
-func (c *stealClaimer) steals() int64 { return c.count.Load() }
-
-// broadcast is the cross-worker detected-set snapshot: workers mark
-// every fault their just-generated sequence detects the moment the
-// credit sweep finishes — before the outcome reaches the merge loop — so
-// other workers stop burning propagation searches on faults a completed
-// sequence already covers while that sequence waits in the reorder
-// buffer for its commit turn.
-//
-// The set is advisory, never authoritative: a marked fault's covering
-// sequence may itself be discarded at commit (its own target was already
-// credited), in which case the merge loop regenerates the skipped fault
-// inline (see merge). The authoritative status array stays the merge
-// loop's alone, which is what keeps Summaries bit-identical at every
-// worker count.
-type broadcast struct {
-	covered []atomic.Uint32
-	// skips counts advisory skips workers took; misses counts the subset
-	// the merge loop had to take back by regenerating. Both are
-	// scheduling-dependent observability counters (like Runtime), never
-	// part of the canonical result.
-	skips, misses atomic.Int64
-}
-
-func newBroadcast(n int) *broadcast { return &broadcast{covered: make([]atomic.Uint32, n)} }
-
-// hit reports whether some completed sequence claims to detect fault i;
-// nil-safe (broadcast disabled).
-func (b *broadcast) hit(i int) bool { return b != nil && b.covered[i].Load() != 0 }
-
-// mark records that a completed sequence detects fault i.
-func (b *broadcast) mark(i int) { b.covered[i].Store(1) }

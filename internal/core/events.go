@@ -51,11 +51,4 @@ type Event struct {
 	// Total is the number of positions this run will process — the whole
 	// universe, or Options.MaxTargets on a budgeted run.
 	Done, Total int
-	// Skipped and Stolen carry the scheduling counters at this commit
-	// (EventProgress only): net advisory broadcast skips (taken minus
-	// regenerated) and range steals. Unlike every other Event field they
-	// are scheduling-dependent; both stay zero unless the corresponding
-	// option (Broadcast, Steal) is on, so the stream remains a
-	// deterministic function of the options whenever the knobs are off.
-	Skipped, Stolen int
 }

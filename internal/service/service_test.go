@@ -289,7 +289,6 @@ func TestResultCacheReplayByteIdentical(t *testing.T) {
 	third := postJob(t, ts.URL, SubmitRequest{Benchmark: "s27", Config: atpg.Config{
 		Workers: 2, Algebra: atpg.AlgebraRobust, Order: atpg.OrderNatural,
 		LocalBacktracks: 100, SeqBacktracks: 100, MaxFrames: 32,
-		Broadcast: true, // pure scheduling: provably identical result
 	}})
 	waitDone(t, ts.URL, third.ID)
 	if !bytes.Equal(getResult(t, ts.URL, third.ID), firstBytes) {
@@ -562,6 +561,17 @@ func TestAPIErrors(t *testing.T) {
 		if _, code := postJobCode(t, ts.URL, req); code != http.StatusBadRequest {
 			t.Errorf("%s: returned %d, want 400", name, code)
 		}
+	}
+	// A config field the wire no longer carries is an unknown field, not
+	// a silently ignored one.
+	removed, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"benchmark":"s27","config":{"broadcast":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed.Body.Close()
+	if removed.StatusCode != http.StatusBadRequest {
+		t.Errorf("removed config field: returned %d, want 400", removed.StatusCode)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")

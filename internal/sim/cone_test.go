@@ -179,51 +179,6 @@ func TestEval5ConeMatchesFull(t *testing.T) {
 	}
 }
 
-// TestEval64ConeMatchesFull: the 64-way two-valued kernel.
-func TestEval64ConeMatchesFull(t *testing.T) {
-	for _, c := range coneCircuits(t) {
-		net := NewNet(c)
-		rng := rand.New(rand.NewSource(104))
-		words := func(n int) []Word {
-			out := make([]Word, n)
-			for i := range out {
-				out[i] = Word(rng.Uint64())
-			}
-			return out
-		}
-		for trial := 0; trial < 8; trial++ {
-			vec, state := words(len(c.PIs)), words(len(c.DFFs))
-			base := net.LoadFrame64(vec, state)
-			net.Eval64(base)
-			vec2, state2 := append([]Word(nil), vec...), append([]Word(nil), state...)
-			var seeds []netlist.NodeID
-			evt := append([]Word(nil), base...)
-			for i, pi := range c.PIs {
-				if rng.Intn(3) == 0 {
-					vec2[i] = Word(rng.Uint64())
-					evt[pi] = vec2[i]
-					seeds = append(seeds, pi)
-				}
-			}
-			for i, ff := range c.DFFs {
-				if rng.Intn(3) == 0 {
-					state2[i] = Word(rng.Uint64())
-					evt[ff] = state2[i]
-					seeds = append(seeds, ff)
-				}
-			}
-			net.Eval64Cone(evt, seeds)
-			ref := net.LoadFrame64(vec2, state2)
-			net.Eval64(ref)
-			for i := range ref {
-				if evt[i] != ref[i] {
-					t.Fatalf("%s trial %d node %d: cone %x, full %x", c.Name, trial, i, evt[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
 // TestEvalCarry64ConeMatchesFull: a batch of 64 random delay injections
 // produces identical carry rails on the sparse and full paths, and
 // ResetCarry64 restores the all-zero baseline so back-to-back batches on

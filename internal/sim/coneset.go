@@ -191,12 +191,11 @@ func (t *Topology) packConeSet(members []int32, gates int32) *coneSet {
 }
 
 // SetConePolicy selects the cone-set representation policy. It must be
-// called before the first InCone/ConeGates/ConeFootprint query (core
-// sets it at engine construction); changing the policy afterwards would
-// mix representations, so the call is ignored once any set was built.
-// Concurrent engines over one shared topology (the service's memoized
-// per-circuit topology) all set the same policy, so the atomic store is
-// what keeps the benign same-value write race-free.
+// called before the first InCone/ConeGates/ConeFootprint query; changing
+// the policy afterwards would mix representations, so the call is
+// ignored once any set was built. The engine never calls it — every run
+// uses the auto default — so its callers are the property tests, which
+// force the dense oracle, and tools that build a private topology.
 func (t *Topology) SetConePolicy(p ConePolicy) {
 	if !t.coneSealed.Load() {
 		t.conePolicy.Store(uint32(p))

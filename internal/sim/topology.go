@@ -53,9 +53,9 @@ type Topology struct {
 	// published set per node, dense or interval-compressed under
 	// conePolicy. Nothing here costs memory until InCone/ConeGates is
 	// asked.
-	// conePolicy is atomic because concurrent engine constructions over
-	// one shared topology all (re)set it; coneSealed freezes it once the
-	// publication slots exist so a late set cannot mix representations.
+	// conePolicy is atomic so a SetConePolicy racing the first cone
+	// query stays race-free; coneSealed freezes it once the publication
+	// slots exist so a late set cannot mix representations.
 	conePolicy  atomic.Uint32 // ConePolicy
 	coneSealed  atomic.Bool
 	coneOnce    sync.Once

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"fogbuster/internal/core"
 )
 
 // coherent fails the test unless the partial result's books balance:
@@ -134,7 +136,14 @@ func TestCancelledPrefixMatchesFullRun(t *testing.T) {
 // mustRunTest executes one complete session.
 func mustRunTest(t *testing.T, c *Circuit, cfg Config) *Result {
 	t.Helper()
-	ses, err := New(c, cfg)
+	return mustRunPatched(t, c, cfg, nil)
+}
+
+// mustRunPatched is mustRunTest with the engine options edited by patch:
+// the test-only route to the reference oracles on core.Options.
+func mustRunPatched(t *testing.T, c *Circuit, cfg Config, patch func(*core.Options)) *Result {
+	t.Helper()
+	ses, err := newSession(c, cfg, nil, patch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func Resume(c *Circuit, ckpt *Checkpoint) (*Session, error) {
 			return nil, fmt.Errorf("atpg: shard checkpoint carries %d committed positions, cursor implies %d", len(sh.Positions), ckpt.Cursor-lo)
 		}
 	}
-	return newSession(c, cfg, ckpt)
+	return newSession(c, cfg, ckpt, nil)
 }
 
 // MergeResults merges the partial Results of a run's disjoint shards

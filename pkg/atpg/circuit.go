@@ -28,9 +28,9 @@ import (
 type Circuit struct {
 	c *netlist.Circuit
 
-	mu    sync.Mutex
-	hash  string                           // memoized ContentHash
-	topos map[sim.ConePolicy]*sim.Topology // memoized per cone policy
+	mu   sync.Mutex
+	hash string        // memoized ContentHash
+	topo *sim.Topology // memoized simulation topology
 	// topoBuilds counts actual topology constructions (white-box
 	// observability for the sharing tests).
 	topoBuilds int
@@ -97,25 +97,18 @@ func (c *Circuit) ContentHash() string {
 	return c.hash
 }
 
-// topology returns the memoized shared simulation topology for the cone
-// policy, building it on first use. Every Session over this Circuit
-// with the same policy reuses one Topology (it is immutable and already
-// shared by all workers of a run), so levelization and cone-set
-// construction are paid once per circuit, not per job.
-func (c *Circuit) topology(policy sim.ConePolicy) *sim.Topology {
+// topology returns the memoized shared simulation topology, building it
+// on first use. Every Session over this Circuit reuses one Topology (it
+// is immutable and already shared by all workers of a run), so
+// levelization is paid once per circuit, not per job.
+func (c *Circuit) topology() *sim.Topology {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t, ok := c.topos[policy]; ok {
-		return t
+	if c.topo == nil {
+		c.topo = sim.NewTopology(c.c)
+		c.topoBuilds++
 	}
-	if c.topos == nil {
-		c.topos = make(map[sim.ConePolicy]*sim.Topology)
-	}
-	t := sim.NewTopology(c.c)
-	t.SetConePolicy(policy)
-	c.topos[policy] = t
-	c.topoBuilds++
-	return t
+	return c.topo
 }
 
 // Faults returns the size of the gate delay fault universe (two faults
@@ -178,20 +171,12 @@ func (c *Circuit) ConeSizes() (lo, med, hi int) {
 	return sizes[0], sizes[len(sizes)/2], sizes[len(sizes)-1]
 }
 
-// ConeMemory reports the cone-set memory footprint of the circuit under
-// a representation policy ("", "auto", "dense" or "compressed"): the
-// bytes the dense all-stems matrix would occupy (the pre-compression
-// representation, O(nodes²/8)) next to the bytes the policy actually
-// holds once every stem's set is built. Unknown policies are errors.
-func (c *Circuit) ConeMemory(policy string) (dense, actual int64, err error) {
-	p, err := sim.ParseConePolicy(policy)
-	if err != nil {
-		return 0, 0, fmt.Errorf("atpg: %v", err)
-	}
-	t := sim.NewTopology(c.c)
-	t.SetConePolicy(p)
-	dense, actual = t.ConeFootprint()
-	return dense, actual, nil
+// ConeMemory reports the cone-set memory footprint of the circuit: the
+// bytes the dense all-stems matrix would occupy (O(nodes²/8)) next to
+// the bytes the per-stem sets actually hold once every stem's set is
+// built, each stem picking the smaller of a bitset and an interval list.
+func (c *Circuit) ConeMemory() (dense, actual int64) {
+	return sim.NewTopology(c.c).ConeFootprint()
 }
 
 // PaperRow is one row of the paper's Table 3, for comparison against a
@@ -236,9 +221,9 @@ func Benchmarks() []BenchmarkInfo {
 // LargeBenchmarks lists the built-in industrial-scale benchmarks beyond
 // the paper's Table 3 (the two biggest ISCAS'89 machines, reconstructed
 // with the same calibrated synthesizer). The paper never ran them, so
-// BenchmarkInfo.Paper is zero; they exist for the scale-out machinery:
-// compressed cone sets, the broadcast and stealing knobs, and budgeted
-// runs via Config.MaxTargets. Benchmarks() deliberately excludes them —
+// BenchmarkInfo.Paper is zero; they exist for scale work: budgeted runs
+// via Config.MaxTargets and the cone-set memory report (ConeMemory).
+// Benchmarks() deliberately excludes them —
 // the Table 3 experiment set stays what the paper measured.
 func LargeBenchmarks() []BenchmarkInfo {
 	out := make([]BenchmarkInfo, 0, len(bench.LargeProfiles))

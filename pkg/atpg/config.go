@@ -7,22 +7,7 @@ import (
 	"fogbuster/internal/core"
 	"fogbuster/internal/logic"
 	"fogbuster/internal/order"
-	"fogbuster/internal/sim"
 )
-
-// Cone-set policy names accepted by Config.ConeSets.
-const (
-	// ConeSetsAuto picks the cheaper representation per stem (the empty
-	// string means auto).
-	ConeSetsAuto = "auto"
-	// ConeSetsDense forces dense bitsets, the pre-compression oracle.
-	ConeSetsDense = "dense"
-	// ConeSetsCompressed forces interval lists for every stem.
-	ConeSetsCompressed = "compressed"
-)
-
-// ConeSetPolicies lists every recognized cone-set policy, auto first.
-func ConeSetPolicies() []string { return []string{ConeSetsAuto, ConeSetsDense, ConeSetsCompressed} }
 
 // Algebra names accepted by Config.Algebra.
 const (
@@ -90,39 +75,10 @@ type Config struct {
 	// value forces a single worker. Results are bit-identical at every
 	// count.
 	Workers int `json:"workers,omitempty"`
-	// ScalarCredit forces the scalar reference path of the credit sweep
-	// (differential-testing knob; results are identical).
-	ScalarCredit bool `json:"scalar_credit,omitempty"`
-	// ScalarSearch forces the scalar reference path of the
-	// generation-phase search: X-fill trials confirmed one frame at a
-	// time instead of 64 per machine word, decision probes scored by
-	// per-lane simulation instead of one lane-parallel pass
-	// (differential-testing knob; results are identical).
-	ScalarSearch bool `json:"scalar_search,omitempty"`
-	// FullEval forces full levelized simulation instead of the
-	// event-driven cone kernels (reference oracle; results are
-	// identical).
-	FullEval bool `json:"full_eval,omitempty"`
 	// Compact compacts the generated test set after the run
 	// (reverse-order drop + overlap splicing); the statistics land in
 	// Result.Compaction. A cancelled run is never compacted.
 	Compact bool `json:"compact,omitempty"`
-	// Broadcast enables the cross-worker detected-set broadcast: workers
-	// skip faults a completed (not yet committed) sequence already
-	// covers. Pure scheduling — the Result is bit-identical with the knob
-	// on or off, at every worker count; only Runtime and the progress
-	// events' Skipped counter change.
-	Broadcast bool `json:"broadcast,omitempty"`
-	// Steal replaces the shared claim counter with per-worker striped
-	// position ranges plus work stealing. Pure scheduling, like
-	// Broadcast: results never change.
-	Steal bool `json:"steal,omitempty"`
-	// ConeSets selects the representation of the per-stem cone membership
-	// sets: "", "auto", "dense" or "compressed". Purely a memory/speed
-	// trade; results never depend on it. Compressed or auto is what makes
-	// >10k-gate circuits practical (the dense all-stems matrix is
-	// O(nodes²/8) bytes).
-	ConeSets string `json:"cone_sets,omitempty"`
 	// MaxTargets, when positive, budgets the run to the first MaxTargets
 	// positions of the targeting order; every later fault stays pending
 	// unless an in-budget sequence credits it. The processed prefix is
@@ -174,16 +130,13 @@ func (c Config) Validate() error {
 	case c.Shards > 0 && c.Compact:
 		return fmt.Errorf("atpg: shards is incompatible with compact (compact the merged result instead)")
 	}
-	if _, err := sim.ParseConePolicy(c.ConeSets); err != nil {
-		return fmt.Errorf("atpg: %v", err)
-	}
 	return nil
 }
 
 // Canonical validates the configuration and returns its normal form:
 // aliases resolved ("" and "non-robust" become the canonical algebra
-// names), empty selectors replaced by their named defaults (natural
-// order, auto cone sets) and zero budgets by the defaults they mean
+// names), the empty order replaced by its named default (natural) and
+// zero budgets by the defaults they mean
 // (100 backtracks, 32 frames). Two configurations with equal Canonical
 // forms produce identical Results on the same circuit, which makes the
 // normal form the right input for result-cache keys and request
@@ -211,30 +164,17 @@ func (c Config) Canonical() (Config, error) {
 	if out.MaxFrames == 0 {
 		out.MaxFrames = 32
 	}
-	if out.ConeSets == "" {
-		out.ConeSets = ConeSetsAuto
-	}
 	return out, nil
 }
 
 // CacheKey returns a deterministic string key for result caching: the
-// compact JSON of the Canonical form with the pure-scheduling knobs
-// (FullEval, ScalarCredit, ScalarSearch, Broadcast, Steal, ConeSets)
-// cleared, since
-// the Result — canonical JSON included — is bit-identical under every
-// setting of those. Workers stays in the key because Result echoes it.
-// Invalid configurations are errors.
+// compact JSON of the Canonical form. Workers stays in the key because
+// Result echoes it. Invalid configurations are errors.
 func (c Config) CacheKey() (string, error) {
 	canon, err := c.Canonical()
 	if err != nil {
 		return "", err
 	}
-	canon.FullEval = false
-	canon.ScalarCredit = false
-	canon.ScalarSearch = false
-	canon.Broadcast = false
-	canon.Steal = false
-	canon.ConeSets = ""
 	b, err := json.Marshal(canon)
 	if err != nil {
 		return "", fmt.Errorf("atpg: %w", err)
@@ -285,13 +225,7 @@ func (c Config) engineOptions() (core.Options, error) {
 		Seed:              c.Seed,
 		Workers:           c.Workers,
 		Order:             h,
-		ScalarCredit:      c.ScalarCredit,
-		ScalarSearch:      c.ScalarSearch,
-		FullEval:          c.FullEval,
 		Compact:           c.Compact,
-		Broadcast:         c.Broadcast,
-		Steal:             c.Steal,
-		ConeSets:          c.ConeSets,
 		MaxTargets:        c.MaxTargets,
 		DeferCredit:       c.Shards > 0,
 	}, nil

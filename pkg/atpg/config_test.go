@@ -58,7 +58,7 @@ func TestConfigJSONTags(t *testing.T) {
 		Algebra: AlgebraNonRobust, Order: OrderADI,
 		LocalBacktracks: 7, SeqBacktracks: 9, MaxFrames: 11,
 		DisableFaultSim: true, StrictInit: true, VariationBudget: 2,
-		Seed: -42, Workers: 3, FullEval: true, Compact: true,
+		Seed: -42, Workers: 3, Compact: true,
 	}
 	data, err := json.Marshal(in)
 	if err != nil {

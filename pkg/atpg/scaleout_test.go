@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// TestScaleOutFacadeInvariance pins the tentpole contract through the
-// public API: the canonical Result JSON with the broadcast and stealing
-// knobs on — separately, combined, and combined with compressed cone
-// sets — is byte-identical to the stock serial run at workers 1, 4 and
-// 16. The knobs are pure scheduling; the wire format consumers read
-// cannot tell they were ever on.
+// TestScaleOutFacadeInvariance pins the scheduling contract through the
+// public API: the canonical Result JSON at workers 1, 4 and 16 is
+// byte-identical to the serial run. Claim scheduling is invisible in the
+// wire format consumers read.
 func TestScaleOutFacadeInvariance(t *testing.T) {
 	c := mustBenchmark(t, "s298")
 	base := canonicalBytes(t, mustRunTest(t, c, Config{Workers: -1}))
@@ -21,25 +19,15 @@ func TestScaleOutFacadeInvariance(t *testing.T) {
 		workerCounts = []int{16}
 	}
 	for _, workers := range workerCounts {
-		for _, cfg := range []Config{
-			{Workers: workers, Broadcast: true},
-			{Workers: workers, Steal: true},
-			{Workers: workers, Broadcast: true, Steal: true},
-			{Workers: workers, Broadcast: true, Steal: true, ConeSets: ConeSetsCompressed},
-		} {
-			got := canonicalBytes(t, mustRunTest(t, c, cfg))
-			if got != base {
-				t.Errorf("workers=%d broadcast=%v steal=%v cone_sets=%q: canonical JSON diverged from the stock serial run",
-					workers, cfg.Broadcast, cfg.Steal, cfg.ConeSets)
-			}
+		if got := canonicalBytes(t, mustRunTest(t, c, Config{Workers: workers})); got != base {
+			t.Errorf("workers=%d: canonical JSON diverged from the serial run", workers)
 		}
 	}
 }
 
 // TestMaxTargetsFacade pins the budgeted-run surface: Config.MaxTargets
-// leaves faults pending, the canonical JSON of the budgeted run is
-// worker-count and knob invariant, and the budget composes with
-// broadcast and stealing.
+// leaves faults pending and the canonical JSON of the budgeted run is
+// worker-count invariant.
 func TestMaxTargetsFacade(t *testing.T) {
 	c := mustBenchmark(t, "s298")
 	k := c.Faults() / 4
@@ -52,35 +40,26 @@ func TestMaxTargetsFacade(t *testing.T) {
 	}
 	want := canonicalBytes(t, base)
 	for _, workers := range []int{4, 16} {
-		got := canonicalBytes(t, mustRunTest(t, c, Config{Workers: workers, MaxTargets: k, Broadcast: true, Steal: true}))
+		got := canonicalBytes(t, mustRunTest(t, c, Config{Workers: workers, MaxTargets: k}))
 		if got != want {
 			t.Errorf("workers=%d: budgeted canonical JSON diverged from the serial budgeted run", workers)
 		}
 	}
 }
 
-// TestScaleOutConfigValidation pins the knob surface's error paths:
-// unknown cone-set policies and negative budgets are construction
-// errors, never silent fallbacks.
+// TestScaleOutConfigValidation pins the budget's error path: a negative
+// budget is a construction error, never a silent fallback.
 func TestScaleOutConfigValidation(t *testing.T) {
 	c := mustBenchmark(t, "s27")
-	if _, err := New(c, Config{ConeSets: "roaring"}); err == nil || !strings.Contains(err.Error(), "cone-set") {
-		t.Errorf("ConeSets=roaring: err = %v, want a cone-set policy error", err)
-	}
 	if _, err := New(c, Config{MaxTargets: -1}); err == nil || !strings.Contains(err.Error(), "max_targets") {
 		t.Errorf("MaxTargets=-1: err = %v, want a max_targets error", err)
-	}
-	for _, p := range ConeSetPolicies() {
-		if _, err := New(c, Config{ConeSets: p}); err != nil {
-			t.Errorf("ConeSets=%q rejected: %v", p, err)
-		}
 	}
 }
 
 // TestLargeBenchmarkSurface pins the industrial-scale circuit surface:
 // the large set resolves through Benchmark, stays out of Benchmarks()
 // (the Table 3 experiment set), matches its calibrated fault universe,
-// and its compressed cone sets undercut the dense matrix by an order of
+// and its per-stem cone sets undercut the dense matrix by an order of
 // magnitude — the property that makes these circuits runnable at all.
 func TestLargeBenchmarkSurface(t *testing.T) {
 	large := LargeBenchmarks()
@@ -96,62 +75,33 @@ func TestLargeBenchmarkSurface(t *testing.T) {
 	if got, want := c.Faults(), 2*15850; got != want {
 		t.Errorf("s15850 faults = %d, want %d", got, want)
 	}
-	dense, auto, err := c.ConeMemory(ConeSetsAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto*10 > dense {
-		t.Errorf("auto cone sets use %d of %d dense bytes; expected <10%% on s15850", auto, dense)
-	}
-	if _, _, err := c.ConeMemory("junk"); err == nil {
-		t.Error("ConeMemory accepted an unknown policy")
+	dense, actual := c.ConeMemory()
+	if actual*10 > dense {
+		t.Errorf("cone sets use %d of %d dense bytes; expected <10%% on s15850", actual, dense)
 	}
 }
 
-// TestProgressCountersSurface pins the event plumbing: with the knobs
-// off every progress event carries zero Skipped/Stolen (the stream stays
-// deterministic); with broadcast+steal on at 16 workers the final
-// progress event's counters agree with the run's Result counters.
+// TestProgressCountersSurface pins the progress plumbing at 16 workers:
+// every targeting position reaches the stream and the final progress
+// event reports the whole universe committed.
 func TestProgressCountersSurface(t *testing.T) {
 	c := mustBenchmark(t, "s27")
-
 	ses, err := New(c, Config{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last Event
+	progress := 0
 	ses.OnEvent(func(ev Event) {
 		if ev.Kind == EventProgress {
-			if ev.Skipped != 0 || ev.Stolen != 0 {
-				t.Errorf("stock run progress carried skipped=%d stolen=%d", ev.Skipped, ev.Stolen)
-			}
+			progress++
 			last = ev
 		}
 	})
 	if _, err := ses.Run(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if last.Done != last.Total || last.Total == 0 {
-		t.Fatalf("final progress %d/%d", last.Done, last.Total)
-	}
-
-	ses, err = New(c, Config{Workers: 16, Broadcast: true, Steal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses.OnEvent(func(ev Event) {
-		if ev.Kind == EventProgress {
-			last = ev
-		}
-	})
-	res, err := ses.Run(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := res.BroadcastSkips - res.BroadcastMisses; last.Skipped != want {
-		t.Errorf("final progress skipped=%d, result says %d-%d", last.Skipped, res.BroadcastSkips, res.BroadcastMisses)
-	}
-	if last.Stolen != res.Steals {
-		t.Errorf("final progress stolen=%d, result says %d", last.Stolen, res.Steals)
+	if last.Done != last.Total || last.Total != c.Faults() || progress != c.Faults() {
+		t.Fatalf("final progress %d/%d after %d events, want %d/%d", last.Done, last.Total, progress, c.Faults(), c.Faults())
 	}
 }

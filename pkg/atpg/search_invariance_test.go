@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"fogbuster/internal/core"
 )
 
 // readBenchS27 loads the distribution-format s27 through the ReadBench
@@ -24,11 +26,17 @@ func readBenchS27(t *testing.T) *Circuit {
 	return c
 }
 
+// scalarSearch selects the scalar search oracle (core.Options.ScalarSearch)
+// when on, the batched default otherwise.
+func scalarSearch(on bool) func(*core.Options) {
+	return func(o *core.Options) { o.ScalarSearch = on }
+}
+
 // TestBatchedSearchFacadeInvariance restates the generation-phase
 // batching contract over the wire format consumers read: the canonical
 // JSON of a Result is byte-identical between the batched default and the
-// scalar search oracle (Config.ScalarSearch) at 1, 4 and 16 workers —
-// on a built-in circuit and on the ReadBench path.
+// scalar search oracle at 1, 4 and 16 workers — on a built-in circuit
+// and on the ReadBench path.
 func TestBatchedSearchFacadeInvariance(t *testing.T) {
 	circuits := []struct {
 		name string
@@ -41,7 +49,7 @@ func TestBatchedSearchFacadeInvariance(t *testing.T) {
 		base := ""
 		for _, workers := range []int{1, 4, 16} {
 			for _, scalar := range []bool{false, true} {
-				res := mustRunTest(t, tc.c, Config{Workers: workers, ScalarSearch: scalar, Seed: 5})
+				res := mustRunPatched(t, tc.c, Config{Workers: workers, Seed: 5}, scalarSearch(scalar))
 				got := canonicalBytes(t, res)
 				if base == "" {
 					base = got
@@ -63,7 +71,7 @@ func TestBatchedSearchCancelInvariance(t *testing.T) {
 	c := mustBenchmark(t, "s641")
 	full := mustRunTest(t, c, Config{Workers: 2})
 	for _, scalar := range []bool{false, true} {
-		ses, err := New(c, Config{Workers: 2, ScalarSearch: scalar})
+		ses, err := newSession(c, Config{Workers: 2}, nil, scalarSearch(scalar))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,8 +93,8 @@ func TestContentHashNormalizesSyntax(t *testing.T) {
 }
 
 // TestTopologySharedAcrossSessions pins the levelize-once contract: any
-// number of sessions over one Circuit (same cone policy) build exactly
-// one topology, and the results stay bit-identical to a fresh circuit's.
+// number of sessions over one Circuit build exactly one topology, and
+// the results stay bit-identical to a fresh circuit's.
 func TestTopologySharedAcrossSessions(t *testing.T) {
 	c, err := Benchmark("s27")
 	if err != nil {
@@ -120,20 +120,6 @@ func TestTopologySharedAcrossSessions(t *testing.T) {
 			t.Fatalf("session %d over the shared topology diverged from a fresh circuit", i)
 		}
 	}
-	// A different cone policy gets its own topology; the same policy is
-	// still shared.
-	if _, err := New(c, Config{ConeSets: ConeSetsCompressed}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(c, Config{ConeSets: ConeSetsCompressed}); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	builds = c.topoBuilds
-	c.mu.Unlock()
-	if builds != 2 {
-		t.Fatalf("auto + compressed policies built %d topologies, want 2", builds)
-	}
 }
 
 // TestConfigCanonical: aliases and zero defaults normalize, invalid
@@ -146,7 +132,6 @@ func TestConfigCanonical(t *testing.T) {
 	want := Config{
 		Algebra: AlgebraRobust, Order: OrderNatural,
 		LocalBacktracks: 100, SeqBacktracks: 100, MaxFrames: 32,
-		ConeSets: ConeSetsAuto,
 	}
 	if canon != want {
 		t.Fatalf("Canonical(zero) = %+v, want %+v", canon, want)
@@ -168,7 +153,9 @@ func TestConfigCanonical(t *testing.T) {
 }
 
 // TestConfigCacheKey: configurations that provably produce identical
-// Results share a key; result-affecting fields split it.
+// Results share a key; result-affecting fields split it; and the key
+// bytes — which also appear in checkpoints as config_key — are pinned
+// verbatim, so stored keys stay valid.
 func TestConfigCacheKey(t *testing.T) {
 	key := func(c Config) string {
 		t.Helper()
@@ -178,15 +165,30 @@ func TestConfigCacheKey(t *testing.T) {
 		}
 		return k
 	}
+	for _, g := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, `{"algebra":"robust","order":"natural","local_backtracks":100,"seq_backtracks":100,"max_frames":32}`},
+		{Config{
+			Algebra: AlgebraNonRobust, Order: OrderADI,
+			LocalBacktracks: 7, SeqBacktracks: 9, MaxFrames: 11,
+			DisableFaultSim: true, DisableValidation: true, StrictInit: true,
+			VariationBudget: 2, Seed: -42, Workers: 3, MaxTargets: 64,
+			Shards: 4, ShardIndex: 1,
+		}, `{"algebra":"nonrobust","order":"adi","local_backtracks":7,"seq_backtracks":9,"max_frames":11,"disable_fault_sim":true,"disable_validation":true,"strict_init":true,"variation_budget":2,"seed":-42,"workers":3,"max_targets":64,"shards":4,"shard_index":1}`},
+		// Compact excludes Shards, so it needs a config of its own.
+		{Config{Compact: true}, `{"algebra":"robust","order":"natural","local_backtracks":100,"seq_backtracks":100,"max_frames":32,"compact":true}`},
+	} {
+		if got := key(g.cfg); got != g.want {
+			t.Errorf("CacheKey(%+v)\n got %s\nwant %s", g.cfg, got, g.want)
+		}
+	}
 	base := key(Config{})
-	// Defaults spelled out, and every pure-scheduling knob, collapse
-	// onto the zero config's key.
+	// Defaults spelled out collapse onto the zero config's key.
 	same := []Config{
 		{Algebra: AlgebraRobust, Order: OrderNatural},
 		{LocalBacktracks: 100, SeqBacktracks: 100, MaxFrames: 32},
-		{Broadcast: true, Steal: true},
-		{FullEval: true, ScalarCredit: true},
-		{ConeSets: ConeSetsCompressed},
 	}
 	for _, c := range same {
 		if key(c) != base {

@@ -9,7 +9,6 @@ import (
 
 	"fogbuster/internal/compact"
 	"fogbuster/internal/core"
-	"fogbuster/internal/sim"
 )
 
 // ErrAlreadyRun is returned by Session.Run when the session was already
@@ -23,6 +22,8 @@ type Session struct {
 	circuit *Circuit
 	cfg     Config
 	eng     *core.Engine
+	// compactOpts configures the post-run compaction under Config.Compact.
+	compactOpts compact.Options
 
 	started atomic.Bool
 	onEvent func(Event)
@@ -63,12 +64,16 @@ func New(c *Circuit, cfg Config) (*Session, error) {
 	if c == nil || c.c == nil {
 		return nil, errors.New("atpg: nil circuit")
 	}
-	return newSession(c, cfg, nil)
+	return newSession(c, cfg, nil, nil)
 }
 
 // newSession is the shared constructor behind New and Resume; ckpt,
 // when non-nil, is a validated checkpoint the session continues from.
-func newSession(c *Circuit, cfg Config, ckpt *Checkpoint) (*Session, error) {
+// patch, when non-nil, edits the engine options translated from cfg.
+// Only tests pass one: it is their route to the reference oracles on
+// core.Options (FullEval, ScalarCredit, ScalarSearch), which Config
+// deliberately does not carry.
+func newSession(c *Circuit, cfg Config, ckpt *Checkpoint, patch func(*core.Options)) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +81,14 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{circuit: c, cfg: cfg}
+	if patch != nil {
+		patch(&opts)
+	}
+	s := &Session{
+		circuit:     c,
+		cfg:         cfg,
+		compactOpts: compact.Options{Algebra: opts.Algebra, Seed: cfg.Seed, FullEval: opts.FullEval},
+	}
 	if cfg.Shards > 0 {
 		lo, hi := shardRange(effTargets(c.Faults(), cfg), cfg.Shards, cfg.ShardIndex)
 		opts.ShardLo, opts.ShardHi = lo, hi
@@ -96,8 +108,7 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint) (*Session, error) {
 	opts.OnEvent = s.emit
 	// Reuse the circuit's memoized topology so concurrent sessions over
 	// one Circuit share a single levelized CSR view and cone sets.
-	policy, _ := sim.ParseConePolicy(cfg.ConeSets) // validated above
-	opts.Topology = c.topology(policy)
+	opts.Topology = c.topology()
 	eng, err := core.New(c.c, opts)
 	if err != nil {
 		// Unreachable after Validate; surfaced defensively.
@@ -223,13 +234,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	s.ctx = ctx
 	sum, runErr := s.eng.RunContext(ctx)
 	if s.cfg.Compact && runErr == nil {
-		opts, _ := s.cfg.engineOptions() // validated in New
-		st := compact.Apply(s.circuit.c, sum, compact.Options{
-			Algebra:  opts.Algebra,
-			Seed:     s.cfg.Seed,
-			FullEval: s.cfg.FullEval,
-		})
-		if !st.Complete {
+		if st := compact.Apply(s.circuit.c, sum, s.compactOpts); !st.Complete {
 			return nil, errors.New("atpg: compaction refused: recorded detection sets are absent or incomplete")
 		}
 	}
