@@ -524,21 +524,3 @@ func BenchmarkScaleOut(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkConeMemory measures lazy cone-set construction — the full
-// all-stems build that replaced the O(nodes²/8) dense matrix — on the
-// industrial profiles, reporting the dense and actual footprints.
-func BenchmarkConeMemory(b *testing.B) {
-	for _, name := range []string{"s1238", "s15850", "s38584"} {
-		c := bench.ProfileByName(name).Circuit()
-		b.Run(name, func(b *testing.B) {
-			var dense, actual int64
-			for i := 0; i < b.N; i++ {
-				topo := sim.NewTopology(c)
-				dense, actual = topo.ConeFootprint()
-			}
-			b.ReportMetric(float64(dense), "dense-bytes")
-			b.ReportMetric(float64(actual), "actual-bytes")
-		})
-	}
-}

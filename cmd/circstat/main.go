@@ -2,13 +2,12 @@
 // circuits: either .bench files given as arguments, or (with no
 // arguments) the full Table 3 benchmark set (-large appends the
 // industrial s15850/s38584-class profiles). Each table row also shows
-// the cone-set memory footprint — dense all-stems matrix bytes next to
-// what the auto policy actually allocates — and file mode additionally
-// reports the per-level gate histogram and the fanout-cone size
-// distribution — the numbers that predict how much the event-driven
-// selective-trace kernel saves over full levelized simulation (small
-// median cone = large win). It consumes the circuit model exclusively
-// through the public fogbuster/pkg/atpg API.
+// the fanout-cone size distribution as a share of the gate count, and
+// file mode additionally reports the per-level gate histogram — the
+// numbers that predict how much the event-driven selective-trace kernel
+// saves over full levelized simulation (small median cone = large win).
+// It consumes the circuit model exclusively through the public
+// fogbuster/pkg/atpg API.
 package main
 
 import (
@@ -43,9 +42,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	if fs.NArg() == 0 {
-		fmt.Fprintf(stdout, "%-8s %5s %5s %5s %7s %7s %9s %7s %7s %7s %6s %6s %6s %10s %10s\n",
+		fmt.Fprintf(stdout, "%-8s %5s %5s %5s %7s %7s %9s %7s %7s %7s %6s %6s %6s\n",
 			"circuit", "pi", "po", "dff", "gates", "stems", "branches", "lines", "faults", "depth",
-			"cmin%", "cmed%", "cmax%", "cdense", "cactual")
+			"cmin%", "cmed%", "cmax%")
 		set := atpg.Benchmarks()
 		if *large {
 			set = append(set, atpg.LargeBenchmarks()...)
@@ -67,11 +66,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				note = " (exact)"
 			}
 			lo, med, hi := c.ConeSizes()
-			dense, actual := c.ConeMemory()
-			g := float64(s.Gates)
-			fmt.Fprintf(stdout, "%-8s %5d %5d %5d %7d %7d %9d %7d %7d %7d %5.1f%% %5.1f%% %5.1f%% %10d %10d%s\n",
+			fmt.Fprintf(stdout, "%-8s %5d %5d %5d %7d %7d %9d %7d %7d %7d %5.1f%% %5.1f%% %5.1f%%%s\n",
 				s.Name, s.PIs, s.POs, s.DFFs, s.Gates, s.Stems, s.Branches, s.Lines, s.Faults, s.MaxLevel,
-				100*float64(lo)/g, 100*float64(med)/g, 100*float64(hi)/g, dense, actual, note)
+				pct(lo, s.Gates), pct(med, s.Gates), pct(hi, s.Gates), note)
 		}
 		if matched == 0 {
 			fmt.Fprintf(stderr, "circstat: no benchmark named %q (see the table for valid names)\n", *only)
@@ -102,9 +99,14 @@ func topoReport(w io.Writer, c *atpg.Circuit) {
 	lo, med, hi := c.ConeSizes()
 	g := c.Stats().Gates
 	fmt.Fprintf(w, "  fanout cones (gates): min %d median %d max %d of %d (%.1f%% / %.1f%% / %.1f%%)\n",
-		lo, med, hi, g,
-		100*float64(lo)/float64(g), 100*float64(med)/float64(g), 100*float64(hi)/float64(g))
-	dense, actual := c.ConeMemory()
-	fmt.Fprintf(w, "  cone-set memory: dense matrix %d bytes, per-stem sets %d bytes (%.1f%%)\n",
-		dense, actual, 100*float64(actual)/float64(dense))
+		lo, med, hi, g, pct(lo, g), pct(med, g), pct(hi, g))
+}
+
+// pct returns n as a percentage of total, and 0 for a circuit without
+// gates.
+func pct(n, total int) float64 {
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(total)
 }

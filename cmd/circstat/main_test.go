@@ -20,22 +20,40 @@ X = AND(N, A)
 Y = OR(N, B)
 `
 
-// TestFileMode runs circstat on a .bench file and checks the classic
+// wireBench has no gates at all: one input wired straight to an output.
+const wireBench = `INPUT(a)
+OUTPUT(a)
+`
+
+// TestFileMode runs circstat on .bench files and checks the classic
 // stats line plus the topology report: the level histogram and the
-// fanout-cone distribution.
+// fanout-cone distribution. A gateless netlist reports its cone shares
+// as 0.0%, not NaN%.
 func TestFileMode(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "two.bench")
-	if err := os.WriteFile(path, []byte(twoGateBench), 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, src string
+		want      []string
+	}{
+		{"two", twoGateBench, []string{"gates=3", "gates per level:", "fanout cones (gates):"}},
+		{"wire", wireBench, []string{"gates=0", "fanout cones (gates): min 0 median 0 max 0 of 0 (0.0% / 0.0% / 0.0%)"}},
 	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{path}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{"gates=3", "gates per level:", "fanout cones (gates):"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), tc.name+".bench")
+		if err := os.WriteFile(path, []byte(tc.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: run = %d, stderr: %s", tc.name, code, stderr.String())
+		}
+		out := stdout.String()
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output missing %q:\n%s", tc.name, want, out)
+			}
+		}
+		if strings.Contains(out, "NaN") {
+			t.Errorf("%s: output has NaN:\n%s", tc.name, out)
 		}
 	}
 }

@@ -200,10 +200,10 @@ type Options struct {
 	OnEvent func(Event)
 	// Topology, when non-nil, is a prebuilt simulation topology for the
 	// circuit, letting many engines over the same circuit share one CSR
-	// view and its lazily built cone sets instead of re-levelizing per
-	// run (the Topology is immutable once built and already shared by
-	// all workers of a run). It must have been built from the same
-	// *netlist.Circuit handed to New; New rejects a mismatch.
+	// view instead of re-levelizing per run (the Topology is immutable
+	// once built and already shared by all workers of a run). It must
+	// have been built from the same *netlist.Circuit handed to New; New
+	// rejects a mismatch.
 	Topology *sim.Topology
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/csv"
-	"strings"
 	"testing"
 
 	"fogbuster/internal/bench"
@@ -89,45 +87,5 @@ func TestTimedHandoff(t *testing.T) {
 	if huge.Tested != robust.Tested || huge.Untestable != robust.Untestable {
 		t.Fatalf("huge budget should match robust: %d/%d vs %d/%d",
 			huge.Tested, huge.Untestable, robust.Tested, robust.Untestable)
-	}
-}
-
-// TestReportWriters smoke-checks both report formats for shape and
-// internal consistency with the summary counts.
-func TestReportWriters(t *testing.T) {
-	c := bench.NewS27()
-	sum := MustNew(c, Options{}).Run()
-
-	var txt strings.Builder
-	if err := sum.WriteReport(&txt, c); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt.String(), "tested=") || !strings.Contains(txt.String(), "G17/") {
-		t.Fatalf("report missing content:\n%s", txt.String())
-	}
-
-	var buf strings.Builder
-	if err := sum.WriteCSV(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	rd := csv.NewReader(strings.NewReader(buf.String()))
-	rows, err := rd.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1+len(sum.Results) {
-		t.Fatalf("csv rows = %d, want %d", len(rows), 1+len(sum.Results))
-	}
-	explicit := 0
-	for _, row := range rows[1:] {
-		if row[1] == "tested" {
-			explicit++
-			if row[4] == "" {
-				t.Fatalf("tested fault %s lacks a sequence", row[0])
-			}
-		}
-	}
-	if explicit != sum.Explicit {
-		t.Fatalf("csv explicit %d != summary %d", explicit, sum.Explicit)
 	}
 }

@@ -1,7 +1,6 @@
-// Package faults enumerates fault universes over a circuit: the paper's
-// gate delay fault model (a slow-to-rise and a slow-to-fall fault on every
-// stem and every fanout branch) and the classic single stuck-at model used
-// by SEMILET for static-fault test generation.
+// Package faults enumerates the paper's gate delay fault universe: a
+// slow-to-rise and a slow-to-fall fault on every stem and every fanout
+// branch of a circuit.
 package faults
 
 import (
@@ -53,48 +52,4 @@ func AllDelay(c *netlist.Circuit) []Delay {
 		out = append(out, Delay{Line: l, Type: SlowToRise}, Delay{Line: l, Type: SlowToFall})
 	}
 	return out
-}
-
-// Stuck is one single stuck-at fault.
-type Stuck struct {
-	Line netlist.Line
-	One  bool // true for stuck-at-1
-}
-
-// String formats the fault with circuit-independent IDs.
-func (s Stuck) String() string {
-	v := 0
-	if s.One {
-		v = 1
-	}
-	return fmt.Sprintf("%v/sa%d", s.Line, v)
-}
-
-// Name formats the fault with signal names from the circuit.
-func (s Stuck) Name(c *netlist.Circuit) string {
-	v := 0
-	if s.One {
-		v = 1
-	}
-	return fmt.Sprintf("%s/sa%d", c.LineName(s.Line), v)
-}
-
-// AllStuck returns the uncollapsed single stuck-at universe over the same
-// line set as the delay model.
-func AllStuck(c *netlist.Circuit) []Stuck {
-	lines := c.Lines()
-	out := make([]Stuck, 0, 2*len(lines))
-	for _, l := range lines {
-		out = append(out, Stuck{Line: l, One: false}, Stuck{Line: l, One: true})
-	}
-	return out
-}
-
-// One2V3 returns the stuck value as a simulation bit (0 or 1) encoded in a
-// byte, for callers building injections.
-func (s Stuck) One2V3() uint8 {
-	if s.One {
-		return 1
-	}
-	return 0
 }

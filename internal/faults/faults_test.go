@@ -47,13 +47,6 @@ func TestFaultNames(t *testing.T) {
 	if SlowToRise.String() != "StR" || SlowToFall.String() != "StF" {
 		t.Error("DelayType names wrong")
 	}
-	st := AllStuck(c)
-	if len(st) != 50 {
-		t.Fatalf("stuck universe = %d, want 50", len(st))
-	}
-	if !strings.HasSuffix(st[0].Name(c), "/sa0") || !strings.HasSuffix(st[1].Name(c), "/sa1") {
-		t.Errorf("stuck names wrong: %s %s", st[0].Name(c), st[1].Name(c))
-	}
 }
 
 func TestDelayUniverseMatchesPaperTotals(t *testing.T) {

@@ -214,22 +214,3 @@ func TestStatsString(t *testing.T) {
 		}
 	}
 }
-
-func TestDotExport(t *testing.T) {
-	c := parseS27(t)
-	dot := c.Dot()
-	for _, want := range []string{"digraph \"s27\"", "rankdir=LR", "triangle", "shape=box", "peripheries=2", "style=dashed"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("dot output missing %q", want)
-		}
-	}
-	// One edge per connection: total fanin count.
-	edges := strings.Count(dot, " -> ")
-	wantEdges := 0
-	for i := range c.Nodes {
-		wantEdges += len(c.Nodes[i].Fanin)
-	}
-	if edges != wantEdges {
-		t.Errorf("dot edges = %d, want %d", edges, wantEdges)
-	}
-}

@@ -65,10 +65,6 @@ type propSearch struct {
 	e      *Engine
 	budget *Budget
 	frames []propFrame
-	// inject keeps a stuck-at fault active in every frame; it is nil for
-	// the delay-fault flow, where the slow clock makes the machine fault
-	// free and the composite state carries the only good/faulty difference.
-	inject *sim.InjectStuck
 	// seeds is the scratch of the event-driven delta evaluation.
 	seeds []netlist.NodeID
 }
@@ -92,7 +88,7 @@ func (p *propSearch) run() (*PropResult, Status) {
 		case stepAssigned:
 			continue
 		case stepAdvance:
-			next := p.e.net.NextState5(vals, p.inject)
+			next := p.e.net.NextState5(vals)
 			f.advanced = true
 			p.frames = append(p.frames, propFrame{state: next, assign: newAssign(len(f.assign))})
 		case stepFail:
@@ -110,12 +106,12 @@ func (p *propSearch) run() (*PropResult, Status) {
 // assignment. The first evaluation of a frame walks the full circuit;
 // afterwards only the fanout cones of the PIs recorded in dirty are
 // re-evaluated — bit-identical to a fresh full walk, because a changed
-// PI can only affect its cone. The stuck-at flow (p.inject non-nil) and
-// the FullEval oracle stay on the full walk.
+// PI can only affect its cone. The FullEval oracle stays on the full
+// walk.
 func (p *propSearch) eval(f *propFrame) []sim.V5 {
-	if p.e.opts.FullEval || p.inject != nil || f.vals == nil {
+	if p.e.opts.FullEval || f.vals == nil {
 		f.vals = p.e.net.LoadFrame5(f.assign, f.state)
-		p.e.net.Eval5(f.vals, p.inject)
+		p.e.net.Eval5(f.vals)
 		f.dirty = f.dirty[:0]
 		return f.vals
 	}
@@ -169,7 +165,7 @@ func (p *propSearch) step(f *propFrame, vals []sim.V5) stepKind {
 	// next state, depth remains and the state is new — revisiting a state
 	// can never observe anything a shorter sequence could not.
 	if !f.advanced && len(p.frames) < p.e.opts.maxFrames() {
-		next := p.e.net.NextState5(vals, p.inject)
+		next := p.e.net.NextState5(vals)
 		if hasD5(next) && !p.stateSeen(next) {
 			return stepAdvance
 		}
@@ -410,8 +406,8 @@ func (p *propSearch) replayObserves(state []sim.V5, vectors [][]sim.V3, po int) 
 			v5[i] = sim.FromV3(b)
 		}
 		vals = p.e.net.LoadFrame5(v5, cur)
-		p.e.net.Eval5(vals, p.inject)
-		cur = p.e.net.NextState5(vals, p.inject)
+		p.e.net.Eval5(vals)
+		cur = p.e.net.NextState5(vals)
 	}
 	return vals[p.e.net.C.POs[po]].IsD()
 }

@@ -83,7 +83,7 @@ func (e *Engine) probeBuf() *probeScratch {
 func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
 	order := [2]sim.V5{val, invert5(val)}
 	e := p.e
-	if !e.probe || p.inject != nil || p.budget.Used < probeAfter || order[0] == order[1] {
+	if !e.probe || p.budget.Used < probeAfter || order[0] == order[1] {
 		return order
 	}
 	event := e.probeEvents

@@ -8,10 +8,10 @@
 // fast test frame) to a primary output across slow-clock frames, during
 // which the machine is fault free. Synchronize computes an initializing
 // input sequence that brings the machine from the unknown power-up state
-// into the state the local test generator requires. The package also
-// provides a standalone FOGBUSTER-style sequential stuck-at generator,
-// SEMILET's original role ("a sequential test pattern generator for
-// several static fault models").
+// into the state the local test generator requires. SEMILET's original
+// role as a standalone stuck-at generator ("a sequential test pattern
+// generator for several static fault models") is not reproduced: the
+// delay-fault flow needs only these two tasks.
 package semilet
 
 import (

@@ -94,8 +94,8 @@ func (n *Net) Eval3Cone(vals []V3, seeds []netlist.NodeID) {
 
 // Eval5Cone is Eval3Cone in the composite five-valued domain, used by
 // SEMILET's propagation search to re-evaluate only the cone of a changed
-// PI assignment. Fault-free evaluation only (the delay-fault propagation
-// phase never injects; the slow clock makes the machine fault free).
+// PI assignment. Like Eval5 it has no injection: the slow clock makes
+// the machine fault free during propagation.
 func (n *Net) Eval5Cone(vals []V5, seeds []netlist.NodeID) {
 	n.initWorklist()
 	t := n.T

@@ -154,7 +154,7 @@ func TestEval5ConeMatchesFull(t *testing.T) {
 				state[i] = vals5[rng.Intn(len(vals5))]
 			}
 			base := net.LoadFrame5(assign, state)
-			net.Eval5(base, nil)
+			net.Eval5(base)
 			assign2 := append([]V5(nil), assign...)
 			var seeds []netlist.NodeID
 			evt := append([]V5(nil), base...)
@@ -169,7 +169,7 @@ func TestEval5ConeMatchesFull(t *testing.T) {
 			}
 			net.Eval5Cone(evt, seeds)
 			ref := net.LoadFrame5(assign2, state)
-			net.Eval5(ref, nil)
+			net.Eval5(ref)
 			for i := range ref {
 				if evt[i] != ref[i] {
 					t.Fatalf("%s trial %d node %d: cone %s, full %s", c.Name, trial, i, evt[i], ref[i])

@@ -6,7 +6,7 @@
 // granularity.
 //
 // The structural substrate is the immutable Topology (flat CSR edge
-// arrays, level buckets, cone bitsets), shared by all workers of a run.
+// arrays, level buckets), shared by all workers of a run.
 // A Net couples one Topology with per-worker scratch: fanin gather
 // buffers, the event-driven worklist, and the touched lists of the
 // sparse kernels. Every evaluator exists in two forms — the full

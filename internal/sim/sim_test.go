@@ -173,7 +173,7 @@ func TestEval5MatchesPairOfEval3(t *testing.T) {
 			stateG[i], stateF[i] = state5[i].Good(), state5[i].Faulty()
 		}
 		vals5 := n.LoadFrame5(vec5, state5)
-		n.Eval5(vals5, nil)
+		n.Eval5(vals5)
 		valsG := n.LoadFrame(vecG, stateG)
 		n.Eval3(valsG, nil)
 		valsF := n.LoadFrame(vecF, stateF)

@@ -1,17 +1,16 @@
 package sim
 
 import (
-	"sync"
-	"sync/atomic"
+	"fmt"
 
 	"fogbuster/internal/netlist"
 )
 
 // Topology is the immutable, structure-of-arrays simulation view of a
-// circuit: flat CSR fanin/fanout edge arrays, the level-bucketed gate
-// order, and (lazily) per-stem fanout-cone membership bitsets. It holds
-// no scratch, so one Topology per circuit can be shared by any number of
-// worker Nets (core builds exactly one and hands it to every worker).
+// circuit: flat CSR fanin/fanout edge arrays and the level-bucketed gate
+// order. It holds no scratch and no lazily built state, so one Topology
+// per circuit can be shared by any number of worker Nets (core builds
+// exactly one and hands it to every worker).
 //
 // The flat fanin index IS the edge number used by the 64-way injectors:
 // edge = FaninOff[id] + input position. Fanout entries mirror
@@ -48,23 +47,10 @@ type Topology struct {
 	// MaxFanin sizes evaluation scratch; MaxLevel sizes the worklist.
 	MaxFanin int
 	MaxLevel int32
-
-	// Cone membership is built lazily per stem (see coneset.go): one
-	// published set per node, dense or interval-compressed under
-	// conePolicy. Nothing here costs memory until InCone/ConeGates is
-	// asked.
-	// conePolicy is atomic so a SetConePolicy racing the first cone
-	// query stays race-free; coneSealed freezes it once the publication
-	// slots exist so a late set cannot mix representations.
-	conePolicy  atomic.Uint32 // ConePolicy
-	coneSealed  atomic.Bool
-	coneOnce    sync.Once
-	coneSets    []atomic.Pointer[coneSet]
-	coneScratch *sync.Pool
 }
 
 // NewTopology builds the simulation view of the circuit. Construction is
-// linear in the circuit size; the cone bitsets are computed on first use.
+// linear in the circuit size.
 func NewTopology(c *netlist.Circuit) *Topology {
 	n := len(c.Nodes)
 	t := &Topology{
@@ -165,3 +151,57 @@ func (t *Topology) lineEdge(l netlist.Line) int {
 	}
 	return int(t.FanoutEdge[t.FanoutOff[l.Node]+int32(l.Branch)])
 }
+
+// ConeGates returns, for every node, the number of combinational gates
+// in its fanout cone: the node itself when it is a gate, plus every gate
+// reachable from it through gate-only paths. Flip-flop consumers do not
+// extend a cone, exactly as the frame boundary stops the levelized
+// evaluation. A cone's gate count bounds the work of one event-driven
+// re-evaluation seeded at that node. Nothing is cached: each call runs
+// one breadth-first search per node over the fanout CSR, sharing a
+// single mark array.
+func (t *Topology) ConeGates() []int {
+	n := t.NumNodes()
+	out := make([]int, n)
+	mark := make([]int32, n) // mark[id] == src+1: id already reached from src
+	var queue []netlist.NodeID
+	for src := range out {
+		epoch := int32(src + 1)
+		mark[src] = epoch
+		queue = append(queue[:0], netlist.NodeID(src))
+		for head := 0; head < len(queue); head++ {
+			x := queue[head]
+			for e := t.FanoutOff[x]; e < t.FanoutOff[x+1]; e++ {
+				y := t.FanoutNode[e]
+				if t.Types[y].IsGate() && mark[y] != epoch {
+					mark[y] = epoch
+					queue = append(queue, y)
+				}
+			}
+		}
+		out[src] = len(queue) - 1
+		if t.Types[src].IsGate() {
+			out[src]++
+		}
+	}
+	return out
+}
+
+// ConePolicy has no values and selects nothing. It, ParseConePolicy and
+// SetConePolicy remain only because benchmark/replay.go still calls
+// them; they can go together with those calls.
+type ConePolicy struct{}
+
+// ParseConePolicy accepts only the empty name and returns the zero
+// ConePolicy; any other name is an error, since no policy remains to
+// select.
+func ParseConePolicy(s string) (ConePolicy, error) {
+	if s != "" {
+		return ConePolicy{}, fmt.Errorf("sim: cone-set policy %q no longer exists", s)
+	}
+	return ConePolicy{}, nil
+}
+
+// SetConePolicy does nothing: a Topology has no cone-set cache to
+// configure.
+func (t *Topology) SetConePolicy(ConePolicy) {}

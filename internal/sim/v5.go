@@ -99,67 +99,26 @@ func EvalGate5(t netlist.GateType, ins []V5) V5 {
 }
 
 // Eval5 evaluates the combinational block in the composite domain. vals
-// must hold PI and PPI values on entry. The optional stuck injection
-// forces the faulty component of the line to the stuck value (used by the
-// standalone sequential stuck-at generator, where the fault is present in
-// every time frame).
-func (n *Net) Eval5(vals []V5, stuck *InjectStuck) {
+// must hold PI and PPI values on entry.
+func (n *Net) Eval5(vals []V5) {
 	t := n.T
-	injEdge := -1
-	stem := netlist.None
-	if stuck != nil {
-		if stuck.Line.IsStem() {
-			stem = stuck.Line.Node
-			if typ := t.Types[stem]; typ == netlist.Input || typ == netlist.DFF {
-				vals[stem] = stuck.apply(vals[stem])
-			}
-		} else {
-			injEdge = t.lineEdge(stuck.Line)
-		}
-	}
 	ins := n.ins5
 	for _, id := range t.Order {
 		beg, end := t.FaninOff[id], t.FaninOff[id+1]
 		buf := ins[:end-beg]
 		for k := beg; k < end; k++ {
-			v := vals[t.Fanin[k]]
-			if int(k) == injEdge {
-				v = stuck.apply(v)
-			}
-			buf[k-beg] = v
+			buf[k-beg] = vals[t.Fanin[k]]
 		}
-		v := EvalGate5(t.Types[id], buf)
-		if id == stem {
-			v = stuck.apply(v)
-		}
-		vals[id] = v
+		vals[id] = EvalGate5(t.Types[id], buf)
 	}
 }
 
-// InjectStuck describes a stuck-at fault for composite simulation.
-type InjectStuck struct {
-	Line  netlist.Line
-	Stuck V3 // Lo for stuck-at-0, Hi for stuck-at-1
-}
-
-func (s *InjectStuck) apply(v V5) V5 { return FromPair(v.Good(), s.Stuck) }
-
-// NextState5 extracts the PPO values after Eval5, respecting a stuck
-// injection on a DFF-feeding connection.
-func (n *Net) NextState5(vals []V5, stuck *InjectStuck) []V5 {
+// NextState5 extracts the PPO values after Eval5.
+func (n *Net) NextState5(vals []V5) []V5 {
 	t := n.T
-	injEdge := -1
-	if stuck != nil && !stuck.Line.IsStem() {
-		injEdge = t.lineEdge(stuck.Line)
-	}
 	next := make([]V5, len(t.C.DFFs))
 	for i, ff := range t.C.DFFs {
-		e := t.FaninOff[ff]
-		v := vals[t.Fanin[e]]
-		if int(e) == injEdge {
-			v = stuck.apply(v)
-		}
-		next[i] = v
+		next[i] = vals[t.Fanin[t.FaninOff[ff]]]
 	}
 	return next
 }

@@ -21,10 +21,9 @@ import (
 // LoadBench or Benchmark.
 //
 // A Circuit memoizes derived read-only state — the canonical content
-// hash and the simulation topology (levelized CSR view plus lazily
-// built cone sets) — so that any number of concurrent Sessions over the
-// same Circuit pay levelization once. Sharing a *Circuit between
-// goroutines is safe.
+// hash and the simulation topology (the levelized CSR view) — so that
+// any number of concurrent Sessions over the same Circuit pay
+// levelization once. Sharing a *Circuit between goroutines is safe.
 type Circuit struct {
 	c *netlist.Circuit
 
@@ -160,23 +159,12 @@ func (c *Circuit) GatesPerLevel() []int {
 
 // ConeSizes returns the minimum, median and maximum fanout-cone gate
 // count over every stem — the distribution that predicts how much the
-// event-driven cone kernels save over full levelized simulation.
+// event-driven cone kernels save over full levelized simulation. The
+// counts are recomputed on every call.
 func (c *Circuit) ConeSizes() (lo, med, hi int) {
-	t := sim.NewTopology(c.c)
-	sizes := make([]int, t.NumNodes())
-	for i := range sizes {
-		sizes[i] = t.ConeGates(netlist.NodeID(i))
-	}
+	sizes := c.topology().ConeGates()
 	sort.Ints(sizes)
 	return sizes[0], sizes[len(sizes)/2], sizes[len(sizes)-1]
-}
-
-// ConeMemory reports the cone-set memory footprint of the circuit: the
-// bytes the dense all-stems matrix would occupy (O(nodes²/8)) next to
-// the bytes the per-stem sets actually hold once every stem's set is
-// built, each stem picking the smaller of a bitset and an interval list.
-func (c *Circuit) ConeMemory() (dense, actual int64) {
-	return sim.NewTopology(c.c).ConeFootprint()
 }
 
 // PaperRow is one row of the paper's Table 3, for comparison against a
@@ -221,10 +209,10 @@ func Benchmarks() []BenchmarkInfo {
 // LargeBenchmarks lists the built-in industrial-scale benchmarks beyond
 // the paper's Table 3 (the two biggest ISCAS'89 machines, reconstructed
 // with the same calibrated synthesizer). The paper never ran them, so
-// BenchmarkInfo.Paper is zero; they exist for scale work: budgeted runs
-// via Config.MaxTargets and the cone-set memory report (ConeMemory).
-// Benchmarks() deliberately excludes them —
-// the Table 3 experiment set stays what the paper measured.
+// BenchmarkInfo.Paper is zero; they exist for scale work such as
+// budgeted runs via Config.MaxTargets. Benchmarks() deliberately
+// excludes them — the Table 3 experiment set stays what the paper
+// measured.
 func LargeBenchmarks() []BenchmarkInfo {
 	out := make([]BenchmarkInfo, 0, len(bench.LargeProfiles))
 	for _, p := range bench.LargeProfiles {

@@ -58,9 +58,8 @@ func TestScaleOutConfigValidation(t *testing.T) {
 
 // TestLargeBenchmarkSurface pins the industrial-scale circuit surface:
 // the large set resolves through Benchmark, stays out of Benchmarks()
-// (the Table 3 experiment set), matches its calibrated fault universe,
-// and its per-stem cone sets undercut the dense matrix by an order of
-// magnitude — the property that makes these circuits runnable at all.
+// (the Table 3 experiment set) and matches its calibrated fault
+// universe.
 func TestLargeBenchmarkSurface(t *testing.T) {
 	large := LargeBenchmarks()
 	if len(large) != 2 || large[0].Name != "s15850" || large[1].Name != "s38584" {
@@ -74,10 +73,6 @@ func TestLargeBenchmarkSurface(t *testing.T) {
 	c := mustBenchmark(t, "s15850")
 	if got, want := c.Faults(), 2*15850; got != want {
 		t.Errorf("s15850 faults = %d, want %d", got, want)
-	}
-	dense, actual := c.ConeMemory()
-	if actual*10 > dense {
-		t.Errorf("cone sets use %d of %d dense bytes; expected <10%% on s15850", actual, dense)
 	}
 }
 

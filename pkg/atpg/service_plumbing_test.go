@@ -215,54 +215,6 @@ func TestConfigCacheKey(t *testing.T) {
 	}
 }
 
-// TestEventsLossyNeverWedges pins the abandoned-consumer fix: a consumer
-// that stops draining an EventsLossy channel cannot block the merge
-// loop. The run completes, evictions are counted and handed to the drop
-// callback in commit order, and the result matches an unobserved run.
-func TestEventsLossyNeverWedges(t *testing.T) {
-	c, err := Benchmark("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses, err := New(c, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var droppedEvents []Event
-	events := ses.EventsLossy(4, func(ev Event) { droppedEvents = append(droppedEvents, ev) })
-	// Read exactly one event, then abandon the channel entirely.
-	first := make(chan Event, 1)
-	go func() { first <- <-events }()
-
-	done := make(chan struct{})
-	var res *Result
-	var runErr error
-	go func() {
-		defer close(done)
-		res, runErr = ses.Run(context.Background())
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("run wedged behind an abandoned lossy consumer")
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if res.Pending != 0 {
-		t.Fatalf("lossy consumer truncated the run: %d pending", res.Pending)
-	}
-	if ses.DroppedEvents() == 0 || int64(len(droppedEvents)) != ses.DroppedEvents() {
-		t.Fatalf("dropped counter %d, callback saw %d (want equal, nonzero)",
-			ses.DroppedEvents(), len(droppedEvents))
-	}
-	<-first // the one delivered event
-	want := mustRunTest(t, c, Config{})
-	if canonicalBytes(t, res) != canonicalBytes(t, want) {
-		t.Fatal("lossy observation changed the result")
-	}
-}
-
 // TestEventsAbandonedConsumerUnwedgedByCancel documents the lossless
 // Events contract: an abandoned consumer wedges the merge loop only
 // until the Run context is cancelled, after which Run returns the usual

@@ -28,13 +28,6 @@ type Session struct {
 	started atomic.Bool
 	onEvent func(Event)
 	events  chan Event
-	// lossy switches the events channel to the bounded non-blocking
-	// contract of EventsLossy: a full buffer evicts the oldest pending
-	// event (to onDrop, counted in dropped) instead of blocking the
-	// merge loop.
-	lossy   bool
-	onDrop  func(Event)
-	dropped atomic.Int64
 	// ctx is the Run context, stored so the event bridge can abandon
 	// channel sends when the run is cancelled; it is written once at the
 	// start of Run, before any event can fire, and read only from the
@@ -107,7 +100,7 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint, patch func(*core.Optio
 	}
 	opts.OnEvent = s.emit
 	// Reuse the circuit's memoized topology so concurrent sessions over
-	// one Circuit share a single levelized CSR view and cone sets.
+	// one Circuit share a single levelized CSR view.
 	opts.Topology = c.topology()
 	eng, err := core.New(c.c, opts)
 	if err != nil {
@@ -134,38 +127,14 @@ func (s *Session) OnEvent(fn func(Event)) { s.onEvent = fn }
 // returns the usual coherent committed-prefix partial Result. Consumers
 // that cannot guarantee timely draining (a network stream feeding a
 // slow client, say) must either drain into their own buffer on a
-// dedicated goroutine, cancel the run when they give up, or use
-// EventsLossy, which never blocks the run.
+// dedicated goroutine, as the atpgd service does with its bounded event
+// log, or cancel the run when they give up.
 func (s *Session) Events() <-chan Event {
 	if s.events == nil {
 		s.events = make(chan Event, 256)
 	}
 	return s.events
 }
-
-// EventsLossy returns a bounded streaming event channel that never
-// blocks the run: when the consumer lags more than buffer events
-// (buffer <= 0 means 256), the oldest pending event is evicted — passed
-// to onDrop, if non-nil, synchronously on the Run goroutine — and the
-// new event enqueued. DroppedEvents reports the eviction count; the
-// events that do arrive preserve commit order. Like Events it must be
-// called before Run, is closed when Run returns, and is exclusive with
-// Events on the same session.
-func (s *Session) EventsLossy(buffer int, onDrop func(Event)) <-chan Event {
-	if s.events == nil {
-		if buffer <= 0 {
-			buffer = 256
-		}
-		s.events = make(chan Event, buffer)
-		s.lossy = true
-		s.onDrop = onDrop
-	}
-	return s.events
-}
-
-// DroppedEvents returns the number of events evicted from an EventsLossy
-// channel so far (always zero for Events consumers).
-func (s *Session) DroppedEvents() int64 { return s.dropped.Load() }
 
 // emit bridges one engine event to the registered consumers. Without a
 // consumer it returns before converting (name resolution and frame
@@ -181,29 +150,7 @@ func (s *Session) emit(ev core.Event) {
 	if s.onEvent != nil {
 		s.onEvent(out)
 	}
-	switch {
-	case s.events == nil:
-	case s.lossy:
-		// Never block the merge loop: on a full buffer evict the oldest
-		// pending event and retry. The merge loop is the only producer,
-		// and the consumer only ever frees slots, so the retry loop
-		// terminates after at most one eviction per iteration.
-		for {
-			select {
-			case s.events <- out:
-				return
-			default:
-			}
-			select {
-			case old := <-s.events:
-				s.dropped.Add(1)
-				if s.onDrop != nil {
-					s.onDrop(old)
-				}
-			default:
-			}
-		}
-	default:
+	if s.events != nil {
 		select {
 		case s.events <- out:
 		case <-s.ctx.Done():
