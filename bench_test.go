@@ -96,9 +96,8 @@ func BenchmarkTable3Parallel(b *testing.B) {
 // BenchmarkGenerate isolates the generation-phase search — local
 // generation, propagation and synchronization with fault-simulation
 // credit disabled, so every fault is targeted explicitly. This is the
-// ~84% slice the word-parallel search (batched X-fill trials plus
-// decision probes, DESIGN.md §12) accelerates; BenchmarkTable3 keeps
-// measuring the full flow.
+// ~84% slice the word-parallel decision probes (DESIGN.md §12)
+// accelerate; BenchmarkTable3 keeps measuring the full flow.
 func BenchmarkGenerate(b *testing.B) {
 	for _, name := range table3Set {
 		c := bench.ProfileByName(name).Circuit()
@@ -113,11 +112,10 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkGenerateScalar is the reference-oracle row for
-// BenchmarkGenerate: the same generation-phase run on the scalar search
-// path (one X-fill completion and one probe lane at a time). The
-// results are bit-identical (TestBatchedSearchInvariance); the ratio of
-// the two benchmarks is the word-parallel speedup reported in
-// EXPERIMENTS.md.
+// BenchmarkGenerate: the same generation-phase run with the decision
+// probes scored one sampled frame at a time. The results are
+// bit-identical (TestBatchedSearchInvariance); the ratio of the two
+// benchmarks is the word-parallel speedup reported in EXPERIMENTS.md.
 func BenchmarkGenerateScalar(b *testing.B) {
 	for _, name := range []string{"s298", "s386", "s641", "s1196"} {
 		c := bench.ProfileByName(name).Circuit()

@@ -37,9 +37,6 @@ type Options struct {
 	// Seed drives the deterministic X-fill of the splice confirmations;
 	// pass the run's Options.Seed.
 	Seed int64
-	// DisableSplice turns off the overlap-merge phase, leaving the
-	// reverse-order drop only.
-	DisableSplice bool
 	// FullEval forces the splice re-confirmations onto the full
 	// levelized walks (the reference oracle); pass the run's
 	// Options.FullEval. Acceptance decisions are identical either way.
@@ -65,15 +62,6 @@ func Apply(c *netlist.Circuit, sum *core.Summary, opts Options) *core.Compaction
 		index[r.Fault] = i
 	}
 	seqs := sum.SeqOrder
-	if seqs == nil {
-		// Defensive fallback for hand-built summaries (the engine always
-		// records SeqOrder): fault order is the commit order then.
-		for i, r := range sum.Results {
-			if r.Seq != nil {
-				seqs = append(seqs, i)
-			}
-		}
-	}
 	stats.Sequences = len(seqs)
 	for _, si := range seqs {
 		stats.PatternsBefore += sum.Results[si].Seq.Len()
@@ -86,7 +74,7 @@ func Apply(c *netlist.Circuit, sum *core.Summary, opts Options) *core.Compaction
 	// detected fault. A summary produced without Options.Compact lacks
 	// the recorded detection sets (simulation-credited faults are then
 	// unassigned) and must keep its sequences untouched.
-	if !opts.DisableSplice && complete {
+	if complete {
 		spliceAdjacent(c, sum, kept, assigned, opts, alg, stats)
 	}
 

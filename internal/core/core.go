@@ -134,15 +134,12 @@ type Options struct {
 	// summaries — TestBatchedCreditInvariance pins it — so the knob
 	// exists only for differential testing and benchmarking.
 	ScalarCredit bool
-	// ScalarSearch runs the generation-phase search on the scalar
-	// reference path: X-fill trials are confirmed one frame at a time in
-	// the exact lane order of the batched default (64 completions per
-	// machine word, see tdsim.ConfirmFills), and decision-probe scores
-	// are computed by per-lane scalar simulation instead of one
-	// lane-parallel pass. The two paths enumerate identical candidates,
-	// fills and decision orders, so Summaries are bit-identical —
-	// TestBatchedSearchInvariance pins it — and the knob exists only for
-	// differential testing and benchmarking.
+	// ScalarSearch scores the generation-phase decision probes of tdgen
+	// and semilet on their scalar reference oracles (one simulation per
+	// sampled frame) instead of one lane-parallel pass. Both modes sample
+	// identical frames and order every decision the same way, so
+	// Summaries are bit-identical — TestBatchedSearchInvariance pins it —
+	// and the knob exists only for differential testing and benchmarking.
 	ScalarSearch bool
 	// FullEval forces every simulation pass — confirmation, credit
 	// sweep, propagation-phase search, splice re-confirmation — onto the

@@ -89,3 +89,39 @@ func TestTimedHandoff(t *testing.T) {
 			huge.Tested, huge.Untestable, robust.Tested, robust.Untestable)
 	}
 }
+
+// TestSequencesFillIndependent checks the property the validator's
+// single X-fill rests on: a generated test holds for every value of its
+// don't-cares. Every explicit sequence of s27, s298 and s386 under both
+// algebras must confirm under eight more fills from distinct seeds, with
+// the worker's own fill and confirmation.
+func TestSequencesFillIndependent(t *testing.T) {
+	names := []string{"s27", "s298", "s386"}
+	if testing.Short() {
+		names = names[:2]
+	}
+	for _, name := range names {
+		c := bench.ProfileByName(name).Circuit()
+		for _, alg := range []*logic.Algebra{logic.Robust, logic.NonRobust} {
+			e := MustNew(c, Options{Algebra: alg})
+			sum := e.Run()
+			w := e.newWorker()
+			seqs := 0
+			for i, r := range sum.Results {
+				if r.Seq == nil {
+					continue
+				}
+				seqs++
+				for k := 1; k <= 8; k++ {
+					w.rng.Seed(faultSeed(int64(k), i))
+					if !w.confirm(w.fastFrame(r.Seq), r.Seq.Fault) {
+						t.Errorf("%s/%s: the sequence for %s fails under fill %d", name, alg.Name(), r.Fault.Name(c), k)
+					}
+				}
+			}
+			if seqs == 0 {
+				t.Errorf("%s/%s: no explicit sequence to check", name, alg.Name())
+			}
+		}
+	}
+}

@@ -217,12 +217,11 @@ func TestOrderingClassifiesEverything(t *testing.T) {
 }
 
 // TestBatchedSearchInvariance pins the generation-phase batching into
-// the determinism contract: the lane-parallel X-fill trials and
-// decision probes (the default) must produce a Summary bit-identical to
-// the scalar reference path (Options.ScalarSearch) — which enumerates
-// the identical fill lanes and probe frames one at a time — at every
-// worker count. Like ScalarCredit, the knob must be purely an execution
-// detail.
+// the determinism contract: the lane-parallel decision probes (the
+// default) must produce a Summary bit-identical to the scalar reference
+// path (Options.ScalarSearch) — which scores the identical probe frames
+// one at a time — at every worker count. Like ScalarCredit, the knob
+// must be purely an execution detail.
 func TestBatchedSearchInvariance(t *testing.T) {
 	for _, name := range []string{"s27", "s298", "s386"} {
 		c := bench.ProfileByName(name).Circuit()

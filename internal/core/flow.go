@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
 	"fogbuster/internal/faults"
-	"fogbuster/internal/fausim"
 	"fogbuster/internal/logic"
 	"fogbuster/internal/netlist"
 	"fogbuster/internal/semilet"
@@ -18,7 +16,7 @@ import (
 
 // worker owns one full clone of the mutable per-fault ATPG state: its own
 // circuit view (the simulators keep scratch buffers on it), sequential
-// engine, fault simulators and X-fill RNGs. Workers share only read-only
+// engine, fault simulators and X-fill RNG. Workers share only read-only
 // inputs (circuit, testability measures, timing analysis, options) and
 // the run's coordination state (runState).
 type worker struct {
@@ -26,43 +24,26 @@ type worker struct {
 	net *sim.Net
 	sem *semilet.Engine
 	td  *tdsim.Sim
-	rng *rand.Rand
 
 	// Per-fault search state. fseed is the fault's master seed; every
-	// random stream of the search (fill lanes, decision probes) is derived
+	// random stream of the search (X-fills, decision probes) is derived
 	// from it, so the whole per-fault outcome is a pure function of
 	// (engine, fault index) — the worker-count invariance contract.
 	// attempts counts validated candidates of the current fault; each one
-	// consumes 64 fill-lane streams.
+	// draws its X-fill from its own derived stream.
 	fseed    int64
 	attempts int
-	lanes    [64]*rand.Rand
+	rng      *rand.Rand // X-fill stream, reseeded before every fill
 
-	// Hoisted fill scratch: the fast-frame derivation runs once per
-	// candidate (and 64 more times, lane-parallel, when the first fill
-	// misses), so its buffers live on the worker instead of the heap. At
-	// most one FastFrame per worker is alive at a time; its slices alias
-	// these buffers.
+	// Scratch of confirm.
 	ppos   []netlist.NodeID
-	ffS0   []sim.V3
-	ffS1   []sim.V3
-	ffV1   []sim.V3
-	ffV2   []sim.V3
-	frame3 []sim.V3
 	vals8  []logic.Value
 	goodS2 []sim.V3
-	ff     tdsim.FastFrame
-
-	// Lane-parallel fill scratch (confirmLanes).
-	fb       tdsim.FillBatch
-	vals64   []sim.Word
-	state64  []sim.Word
-	propRows [][]sim.Word
 }
 
-// Derived-stream tags for the per-fault probe seeds. Fill lanes use
-// attempt<<6|lane, so any tag ≥ 1<<30 is collision-free until an
-// absurd 2^24 attempts.
+// Derived-stream tags for the per-fault probe seeds. X-fills use
+// attempt<<6, so any tag ≥ 1<<30 is collision-free until an absurd
+// 2^24 attempts.
 const (
 	probeStreamGen  = 1 << 30
 	probeStreamProp = 1<<30 | 1
@@ -76,60 +57,25 @@ func (e *Engine) newWorker() *worker {
 	td := tdsim.New(net, e.alg)
 	td.SetFullEval(e.opts.FullEval)
 	c := e.c
-	w := &worker{
+	return &worker{
 		e:   e,
 		net: net,
 		sem: semilet.NewEngine(net, semilet.Options{MaxFrames: e.opts.MaxFrames, Meas: e.meas, FullEval: e.opts.FullEval}),
 		td:  td,
+		rng: rand.New(rand.NewSource(0)), //lint:allow determinism placeholder stream; every fill reseeds it from the fault seed first
 
 		ppos:   c.PPOs(),
-		ffS0:   make([]sim.V3, len(c.DFFs)),
-		ffS1:   make([]sim.V3, len(c.DFFs)),
-		ffV1:   make([]sim.V3, len(c.PIs)),
-		ffV2:   make([]sim.V3, len(c.PIs)),
-		frame3: make([]sim.V3, len(c.Nodes)),
 		vals8:  make([]logic.Value, len(c.Nodes)),
 		goodS2: make([]sim.V3, len(c.DFFs)),
-
-		fb: tdsim.FillBatch{
-			V1: make([]sim.Word, len(c.PIs)),
-			V2: make([]sim.Word, len(c.PIs)),
-			S0: make([]sim.Word, len(c.DFFs)),
-			S1: make([]sim.Word, len(c.DFFs)),
-		},
-		vals64:  make([]sim.Word, len(c.Nodes)),
-		state64: make([]sim.Word, len(c.DFFs)),
 	}
-	for i := range w.lanes {
-		w.lanes[i] = rand.New(rand.NewSource(0)) //lint:allow determinism placeholder stream; seedLane reseeds per (attempt,lane) before every draw
-	}
-	return w
 }
 
 // faultSeed derives the per-fault X-fill seed from the run seed and the
-// fault index (splitmix64 finalizer). Reseeding per fault is what makes
-// the fill stream — and with it the whole Summary — independent of the
-// order in which workers claim faults.
+// fault index. Reseeding per fault is what makes the fill stream — and
+// with it the whole Summary — independent of the order in which workers
+// claim faults.
 func faultSeed(seed int64, i int) int64 {
-	z := uint64(seed) + 0x9E3779B97F4A7C15*(uint64(i)+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
-}
-
-// seedLane reseeds and returns lane's RNG for the given fill attempt.
-// Every (attempt, lane) pair gets its own derived stream, which is the
-// keystone of the batched/scalar equivalence: the lane-parallel fill can
-// draw site-major (one draw per lane at each X site) while the scalar
-// reference draws lane-major (one full frame per lane), and both read
-// the identical per-lane subsequences.
-func (w *worker) seedLane(attempt, lane int) *rand.Rand {
-	r := w.lanes[lane&63]
-	r.Seed(faultSeed(w.fseed, attempt<<6|lane))
-	return r
+	return sim.DeriveSeed(seed, uint64(i))
 }
 
 // runState bundles the shared coordination state of one RunContext
@@ -200,7 +146,6 @@ func (w *worker) run(ctx context.Context, rs *runState) {
 func (w *worker) process(ctx context.Context, rs *runState, p, i int) (faultOutcome, bool) {
 	w.fseed = faultSeed(w.e.opts.Seed, i)
 	w.attempts = 0
-	w.rng = rand.New(rand.NewSource(w.fseed))
 	o := faultOutcome{idx: p}
 	var ff *tdsim.FastFrame
 	var interrupted bool
@@ -234,7 +179,9 @@ func (w *worker) process(ctx context.Context, rs *runState, p, i int) (faultOutc
 			skip = nil
 		}
 		if ff == nil {
-			// Validation disabled: the winning frame was never derived.
+			// Validation disabled: the winning frame was never derived,
+			// so it is filled from the fault's master seed.
+			w.rng.Seed(w.fseed)
 			ff = w.fastFrame(o.seq)
 		}
 		if w.e.opts.ScalarCredit {
@@ -365,67 +312,12 @@ func (w *worker) handoff(sol *tdgen.Solution) []sim.V5 {
 	return lifted
 }
 
-// fastFrame fills the sequence's don't-cares from the worker's per-fault
-// stream; it backs the validation-disabled path, where no lane structure
-// exists and the fill draws straight from the fault's master RNG.
+// fastFrame fills the sequence's don't-cares from the worker's X-fill
+// stream and derives the concrete fast frame it applies (tdsim.Frame).
+// The frame aliases the scratch of the worker's tdsim.Sim until the
+// next fill.
 func (w *worker) fastFrame(seq *TestSequence) *tdsim.FastFrame {
-	return w.fastFrameWith(seq, w.rng)
-}
-
-// fillInto is XFill into a caller-owned buffer.
-func fillInto(dst, vec []sim.V3, rng *rand.Rand) {
-	for i, v := range vec {
-		if v == sim.X {
-			dst[i] = sim.V3(rng.Intn(2))
-		} else {
-			dst[i] = v
-		}
-	}
-}
-
-// fastFrameWith fills the sequence's don't-cares from rng and derives the
-// concrete two-frame situation of the fast clock cycle, simulating the
-// good machine from a random power-up state through the initialization
-// and the initial time frame (the paper's fault simulation phase 1). The
-// returned frame aliases worker-owned scratch: it is valid until the next
-// fastFrameWith call on this worker.
-func (w *worker) fastFrameWith(seq *TestSequence, rng *rand.Rand) *tdsim.FastFrame {
-	state := w.ffS0
-	for i := range state {
-		if seq.Assumed != nil && seq.Assumed[i].Known() {
-			state[i] = seq.Assumed[i]
-		} else {
-			state[i] = sim.V3(rng.Intn(2))
-		}
-	}
-	syncV := fausim.FillSequence(seq.Sync, rng)
-	if len(syncV) > 0 {
-		steps := w.net.SeqSim3(state, syncV)
-		copy(state, steps[len(steps)-1].State)
-	}
-	for i := range state {
-		if state[i] == sim.X {
-			state[i] = sim.V3(rng.Intn(2))
-		}
-	}
-	fillInto(w.ffV1, seq.V1, rng)
-	fillInto(w.ffV2, seq.V2, rng)
-	w.net.LoadFrameInto(w.frame3, w.ffV1, state)
-	w.net.Eval3(w.frame3, nil)
-	t := w.net.T
-	for i, ff := range w.e.c.DFFs {
-		v := w.frame3[t.Fanin[t.FaninOff[ff]]]
-		if v == sim.X {
-			v = sim.V3(rng.Intn(2))
-		}
-		w.ffS1[i] = v
-	}
-	w.ff = tdsim.FastFrame{
-		V1: w.ffV1, V2: w.ffV2,
-		S0: state, S1: w.ffS1,
-		Prop: fausim.FillSequence(seq.Prop, rng),
-	}
-	return &w.ff
+	return w.td.Frame(nil, seq.Assumed, seq.Sync, seq.V1, seq.V2, seq.Prop, w.rng)
 }
 
 // confirm checks one concrete fast frame: fault-free two-frame values,
@@ -439,102 +331,6 @@ func (w *worker) confirm(ff *tdsim.FastFrame, f faults.Delay) bool {
 	return w.td.Confirm(ff, w.vals8, w.goodS2, f)
 }
 
-// confirmLanes derives 64 deterministic X-fill completions of the
-// candidate — lane k drawing exactly the per-lane stream seedLane(attempt,
-// k) — and confirms all of them in one lane-parallel pass
-// (tdsim.ConfirmFills), returning the word of detecting lanes.
-//
-// The derivation mirrors fastFrameWith site by site on packed words: the
-// power-up state, the synchronization replay (all inputs are binary per
-// lane, so the three-valued good simulation degenerates to Eval64, which
-// is exact), the two fast-frame vectors, the latched test state and the
-// propagation vectors. At every X site one bit is drawn per lane, in the
-// scalar visit order, so each lane's draw subsequence is identical to a
-// scalar fastFrameWith on that lane's RNG — site-major and lane-major
-// enumeration commute because the streams are independent.
-func (w *worker) confirmLanes(seq *TestSequence, attempt int) sim.Word {
-	for lane := 0; lane < 64; lane++ {
-		w.seedLane(attempt, lane)
-	}
-	draw := func() sim.Word {
-		var wd sim.Word
-		for k := 0; k < 64; k++ {
-			wd |= sim.Word(w.lanes[k].Intn(2)) << uint(k)
-		}
-		return wd
-	}
-	wordFor := func(v sim.V3) sim.Word {
-		switch v {
-		case sim.Hi:
-			return ^sim.Word(0)
-		case sim.Lo:
-			return 0
-		}
-		return draw()
-	}
-	c := w.e.c
-	t := w.net.T
-	fb := &w.fb
-
-	// Power-up state.
-	state := w.state64
-	for i := range c.DFFs {
-		if seq.Assumed != nil && seq.Assumed[i].Known() {
-			state[i] = wordFor(seq.Assumed[i])
-		} else {
-			state[i] = draw()
-		}
-	}
-	// Synchronization replay, 64 lanes per pass.
-	for _, vec := range seq.Sync {
-		for i, pi := range c.PIs {
-			w.vals64[pi] = wordFor(vec[i])
-		}
-		for i, ffn := range c.DFFs {
-			w.vals64[ffn] = state[i]
-		}
-		w.net.Eval64(w.vals64)
-		for i, ffn := range c.DFFs {
-			state[i] = w.vals64[t.Fanin[t.FaninOff[ffn]]]
-		}
-	}
-	copy(fb.S0, state)
-	for i, v := range seq.V1 {
-		fb.V1[i] = wordFor(v)
-	}
-	for i, v := range seq.V2 {
-		fb.V2[i] = wordFor(v)
-	}
-	// Latched test state: the initial frame is fully binary in every lane,
-	// so the capture draws nothing.
-	for i, pi := range c.PIs {
-		w.vals64[pi] = fb.V1[i]
-	}
-	for i, ffn := range c.DFFs {
-		w.vals64[ffn] = fb.S0[i]
-	}
-	w.net.Eval64(w.vals64)
-	for i, ffn := range c.DFFs {
-		fb.S1[i] = w.vals64[t.Fanin[t.FaninOff[ffn]]]
-	}
-	// Propagation vectors.
-	fb.Prop = fb.Prop[:0]
-	for _, vec := range seq.Prop {
-		var row []sim.Word
-		if len(fb.Prop) < len(w.propRows) {
-			row = w.propRows[len(fb.Prop)]
-		} else {
-			row = make([]sim.Word, len(c.PIs))
-			w.propRows = append(w.propRows, row)
-		}
-		for i, v := range vec {
-			row[i] = wordFor(v)
-		}
-		fb.Prop = append(fb.Prop, row)
-	}
-	return w.td.ConfirmFills(fb, seq.Fault)
-}
-
 // validate replays the generated sequence with the fault injected and
 // checks that the promised observation really happens: robust carrying at
 // a PO in the fast frame, or a good/faulty difference at a PO after the
@@ -542,36 +338,17 @@ func (w *worker) confirmLanes(seq *TestSequence, attempt int) sim.Word {
 // search (it uses the concrete simulators), so it is an independent
 // witness.
 //
-// Each candidate gets 64 X-fill trials instead of one: a candidate that
-// dies on an unlucky fill is salvaged by any of 63 alternate completions.
-// The first lane is checked scalar — the common case, a candidate whose
-// first fill confirms, costs exactly one frame — and the remaining 63
-// in one lane-parallel pass, committing the lowest-index detecting lane.
-// The scalar reference (Options.ScalarSearch) enumerates the identical
-// lanes one frame at a time, first detect wins; both paths pick the same
-// lane and return bit-identical frames, so every downstream artifact
-// (Summary, canonical JSON) is invariant under the knob.
+// Each candidate gets one X-fill, drawn from a stream derived from the
+// fault seed and the attempt number. A test the generator got right holds
+// for every value of its don't-cares, so a fill that does not confirm
+// exposes a generator defect: the caller counts it as a validation
+// failure and moves on to the next candidate.
 func (w *worker) validate(seq *TestSequence) (*tdsim.FastFrame, bool) {
-	attempt := w.attempts
+	w.rng.Seed(faultSeed(w.fseed, w.attempts<<6))
 	w.attempts++
-	ff := w.fastFrameWith(seq, w.seedLane(attempt, 0))
-	if w.confirm(ff, seq.Fault) {
-		return ff, true
-	}
-	if w.e.opts.ScalarSearch {
-		for lane := 1; lane < 64; lane++ {
-			ff = w.fastFrameWith(seq, w.seedLane(attempt, lane))
-			if w.confirm(ff, seq.Fault) {
-				return ff, true
-			}
-		}
+	ff := w.fastFrame(seq)
+	if !w.confirm(ff, seq.Fault) {
 		return nil, false
 	}
-	// Lane 0 is re-derived inside the batch (identical stream, identical
-	// verdict) but masked out: its scalar verdict above is authoritative.
-	det := w.confirmLanes(seq, attempt) &^ 1
-	if det == 0 {
-		return nil, false
-	}
-	return w.fastFrameWith(seq, w.seedLane(attempt, bits.TrailingZeros64(uint64(det)))), true
+	return ff, true
 }

@@ -11,28 +11,6 @@ import (
 // sampled scores only pay for themselves on faults it is failing.
 const probeAfter = 4
 
-// sm64 is a splitmix64 stream, the sampling PRNG of the decision probe.
-// Each probe event derives one stream from (probeSeed, event), so the
-// sampling — and with it the whole propagation search — is a pure
-// function of the fault, independent of worker count and of the
-// batched/scalar scoring mode.
-type sm64 struct{ s uint64 }
-
-func seedSM64(seed int64, stream uint64) sm64 {
-	return sm64{s: uint64(seed) + 0x9E3779B97F4A7C15*(stream+1)}
-}
-
-func (p *sm64) next() uint64 {
-	p.s += 0x9E3779B97F4A7C15
-	z := p.s
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // SetProbe enables decision probing for the engine's next Propagate
 // calls and resets the probe event counter, making the probe sampling a
 // pure function of the supplied seed. Callers pass a per-fault seed so
@@ -89,7 +67,10 @@ func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
 	event := e.probeEvents
 	e.probeEvents++
 	ps := e.probeBuf()
-	rng := seedSM64(e.probeSeed, uint64(event))
+	// One sampling stream per (probeSeed, event): the sampling — and with
+	// it the whole propagation search — is a pure function of the fault,
+	// independent of worker count and of the batched/scalar scoring mode.
+	rng := sim.NewSplitMix(e.probeSeed, uint64(event))
 	c := e.net.C
 
 	const lo = sim.Word(0xFFFFFFFF) // lanes of order[0]
@@ -109,7 +90,7 @@ func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
 		case f.assign[i] == sim.Z5:
 			g = 0
 		default: // X5: one shared draw per lane
-			g = sim.Word(rng.next())
+			g = sim.Word(rng.Next())
 		}
 		ps.valsG[id], ps.valsF[id] = g, g
 	}
@@ -125,7 +106,7 @@ func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
 		case sim.B5: // good 0, faulty 1
 			g, fw = 0, ones
 		default: // X5: fixed but unknown, identical in both machines
-			w := sim.Word(rng.next())
+			w := sim.Word(rng.Next())
 			g, fw = w, w
 		}
 		ps.valsG[ff], ps.valsF[ff] = g, fw

@@ -22,8 +22,8 @@ import (
 // by the gate kernels: H is set only where I == F, and C only where
 // I != F. This is the lane-parallel counterpart of the carry-rail
 // encoding of DESIGN.md §6, generalized to lanes whose fault-free
-// frames differ (64 X-fill trials of one fault, rather than 64 faults
-// of one frame).
+// frames differ (the 64 sampled frames of one tdgen decision probe,
+// rather than 64 faults of one frame).
 type Rail64 struct {
 	I, F, H, C []Word
 
@@ -44,15 +44,6 @@ func (n *Net) NewRail64() *Rail64 {
 		insI: make([]Word, mf), insF: make([]Word, mf),
 		insH: make([]Word, mf), insC: make([]Word, mf),
 	}
-}
-
-// SetInput writes the plain two-frame input words of node id: bit k of
-// initial/final is lane k's settled frame value. Inputs are always
-// hazard-free and fault-free (LoadFrame8 semantics: FromEndpoints with
-// hazard=false).
-func (r *Rail64) SetInput(id netlist.NodeID, initial, final Word) {
-	r.I[id], r.F[id] = initial, final
-	r.H[id], r.C[id] = 0, 0
 }
 
 // PutLane sets lane k of node id to the value v (test helper).
@@ -237,7 +228,7 @@ func injectFill64(slowToRise bool, v rail) rail {
 // scalar Eval8 (stem injection on a PI/PPI before any consumer reads
 // it, edge injection on the one fanin connection, stem injection on a
 // gate after its own evaluation). The rails must hold the PI and PPI
-// words on entry (SetInput); every gate entry is overwritten.
+// words on entry; every gate entry is overwritten.
 func (n *Net) EvalFill64(alg *logic.Algebra, r *Rail64, inj *InjectDelay) {
 	t := n.T
 	robust := alg.IsRobust()

@@ -130,7 +130,7 @@ func TestFoldFill64Wide(t *testing.T) {
 // TestEvalFill64MatchesEval8 cross-checks the whole-frame rail walk
 // against the scalar eight-valued evaluation: 64 independent random
 // binary frames per word, one delay fault injected in every lane (the
-// batched X-fill situation), every node's eight-valued value in lane k
+// decision probe's situation), every node's eight-valued value in lane k
 // must equal a scalar Eval8 of frame k, and the capture words must equal
 // the scalar capture rule. Both algebras, every fault line, plus the
 // fault-free walk.
@@ -166,11 +166,12 @@ func TestEvalFill64MatchesEval8(t *testing.T) {
 			v1w, v2w := words(len(c.PIs)), words(len(c.PIs))
 			s0w, s1w := words(len(c.DFFs)), words(len(c.DFFs))
 			for _, inj := range injections {
+				// Plain inputs: hazard-free and fault-free in every lane.
 				for i, pi := range c.PIs {
-					r.SetInput(pi, v1w[i], v2w[i])
+					r.I[pi], r.F[pi], r.H[pi], r.C[pi] = v1w[i], v2w[i], 0, 0
 				}
 				for i, ff := range c.DFFs {
-					r.SetInput(ff, s0w[i], s1w[i])
+					r.I[ff], r.F[ff], r.H[ff], r.C[ff] = s0w[i], s1w[i], 0, 0
 				}
 				net.EvalFill64(alg, r, inj)
 				det := net.ObserveFill64(r)

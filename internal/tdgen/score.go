@@ -15,33 +15,14 @@ import (
 // already failing.
 const probeAfter = 4
 
-// sm64 is a splitmix64 stream, the per-lane sampling PRNG of the
-// decision probe. It is deliberately tiny and allocation-free: every
-// probe event draws its 64 lane streams from (ProbeSeed, event, lane),
-// so the sampling — and with it the whole search — is a pure function of
-// the fault, independent of worker count and of the batched/scalar
-// evaluation mode.
-type sm64 struct{ s uint64 }
-
-func seedSM64(seed int64, stream uint64) sm64 {
-	return sm64{s: uint64(seed) + 0x9E3779B97F4A7C15*(stream+1)}
-}
-
-func (p *sm64) next() uint64 {
-	p.s += 0x9E3779B97F4A7C15
-	z := p.s
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // probeScratch holds the decision-probe buffers, built on first use so
 // generators that never probe (short searches, unit tests) pay nothing.
 type probeScratch struct {
-	lanes   [64]sm64
+	// lanes are the per-lane sampling streams. Every probe event reseeds
+	// them from (ProbeSeed, event, lane), so the sampling — and with it
+	// the whole search — is a pure function of the fault, independent of
+	// worker count and of the batched/scalar evaluation mode.
+	lanes   [64]sim.SplitMix
 	samples []logic.Value // per input × 64 lanes, input-major
 	rail    *sim.Rail64
 	goodW   []sim.Word // NextStateFill64 capture scratch
@@ -88,7 +69,7 @@ func (g *Generator) orderByProbe(node netlist.NodeID, options []logic.Set) []log
 	g.probeEvents++
 	ps := g.probeBuf()
 	for k := range ps.lanes {
-		ps.lanes[k] = seedSM64(g.probeSeed, uint64(event)<<6|uint64(k))
+		ps.lanes[k] = sim.NewSplitMix(g.probeSeed, uint64(event)<<6|uint64(k))
 	}
 	nOpt := len(options)
 	lanesPer := 64 / nOpt
@@ -115,7 +96,7 @@ func (g *Generator) orderByProbe(node netlist.NodeID, options []logic.Set) []log
 			set := g.sets[in]
 			if n := decode(set); n > 0 {
 				for k := 0; k < 64; k++ {
-					row[k] = vv[ps.lanes[k].next()%uint64(n)]
+					row[k] = vv[ps.lanes[k].Next()%uint64(n)]
 				}
 			} else {
 				for k := 0; k < 64; k++ {
@@ -131,7 +112,7 @@ func (g *Generator) orderByProbe(node netlist.NodeID, options []logic.Set) []log
 			}
 			n := decode(set)
 			for k := o * lanesPer; k < (o+1)*lanesPer; k++ {
-				row[k] = vv[ps.lanes[k].next()%uint64(n)]
+				row[k] = vv[ps.lanes[k].Next()%uint64(n)]
 			}
 		}
 	}

@@ -21,6 +21,8 @@
 package tdsim
 
 import (
+	"math/rand"
+
 	"fogbuster/internal/faults"
 	"fogbuster/internal/fausim"
 	"fogbuster/internal/logic"
@@ -57,9 +59,12 @@ type Sim struct {
 	injD     *sim.InjectDelay64
 	verdicts []bool
 
-	// Scratch for the lane-parallel X-fill confirmation (ConfirmFills),
-	// built on first use.
-	fill *fillScratch
+	// Scratch of Frame: the filled vectors and states, the initial
+	// frame's node values, and the frame handed back.
+	frameV1, frameV2 []sim.V3
+	frameS0, frameS1 []sim.V3
+	frame3           []sim.V3
+	frame            FastFrame
 }
 
 // New builds the simulator.
@@ -74,6 +79,11 @@ func New(net *sim.Net, alg *logic.Algebra) *Sim {
 		carry:    make([]sim.Word, len(net.C.Nodes)),
 		faultyV:  make([]sim.Word, len(net.C.DFFs)),
 		injD:     net.NewInjectDelay64(),
+		frameV1:  make([]sim.V3, len(net.C.PIs)),
+		frameV2:  make([]sim.V3, len(net.C.PIs)),
+		frameS0:  make([]sim.V3, len(net.C.DFFs)),
+		frameS1:  make([]sim.V3, len(net.C.DFFs)),
+		frame3:   make([]sim.V3, len(net.C.Nodes)),
 	}
 }
 
@@ -97,6 +107,62 @@ type FastFrame struct {
 	V1, V2 []sim.V3
 	S0, S1 []sim.V3
 	Prop   [][]sim.V3
+}
+
+// Frame fills a test's don't-cares from rng and derives the concrete
+// fast frame it applies: FAUSIM's phase 1. The good machine starts from
+// entry when the test runs mid-program, otherwise from a power-up state
+// that keeps the known bits of assumed and draws the rest; it runs the
+// sync vectors into the initial frame and latches the test state at the
+// fast edge. The draws follow one fixed order — power-up state, sync
+// vectors, the state bits synchronization left X, V1, V2, the latched
+// bits left X, propagation vectors — so a seed names one frame. The
+// returned frame aliases the Sim's scratch: it is valid until the next
+// Frame call.
+func (s *Sim) Frame(entry, assumed []sim.V3, sync [][]sim.V3, v1, v2 []sim.V3, prop [][]sim.V3, rng *rand.Rand) *FastFrame {
+	state := s.frameS0
+	if entry != nil {
+		copy(state, entry)
+	} else {
+		for i := range state {
+			if assumed != nil && assumed[i].Known() {
+				state[i] = assumed[i]
+			} else {
+				state[i] = sim.V3(rng.Intn(2))
+			}
+		}
+	}
+	if syncV := fausim.FillSequence(sync, rng); len(syncV) > 0 {
+		steps := s.net.SeqSim3(state, syncV)
+		copy(state, steps[len(steps)-1].State)
+	}
+	fillInto(state, state, rng)
+	fillInto(s.frameV1, v1, rng)
+	fillInto(s.frameV2, v2, rng)
+	s.net.LoadFrameInto(s.frame3, s.frameV1, state)
+	s.net.Eval3(s.frame3, nil)
+	t := s.net.T
+	for i, ff := range s.net.C.DFFs {
+		s.frameS1[i] = s.frame3[t.Fanin[t.FaninOff[ff]]]
+	}
+	fillInto(s.frameS1, s.frameS1, rng)
+	s.frame = FastFrame{
+		V1: s.frameV1, V2: s.frameV2,
+		S0: state, S1: s.frameS1,
+		Prop: fausim.FillSequence(prop, rng),
+	}
+	return &s.frame
+}
+
+// fillInto is sim.XFill into a caller-owned buffer; dst may be vec.
+func fillInto(dst, vec []sim.V3, rng *rand.Rand) {
+	for i, v := range vec {
+		if v == sim.X {
+			dst[i] = sim.V3(rng.Intn(2))
+		} else {
+			dst[i] = v
+		}
+	}
 }
 
 // Values computes the fault-free two-frame value of every node.
