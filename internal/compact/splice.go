@@ -145,7 +145,7 @@ func (ap *applier) confirmAll(ff *tdsim.FastFrame, cover []faults.Delay) bool {
 		ap.verdicts = make([]bool, len(cover))
 	}
 	out := ap.verdicts[:len(cover)]
-	ap.td.ConfirmBatch(ff, vals, goodS2, cover, out)
+	ap.td.ConfirmBatch(ff, vals, goodS2, nil, cover, out)
 	for _, ok := range out {
 		if !ok {
 			return false

@@ -85,9 +85,6 @@ type Options struct {
 	// DisableFaultSim turns off the post-generation fault simulation
 	// credit (every fault is then explicitly targeted).
 	DisableFaultSim bool
-	// DisableValidation skips the independent end-to-end check of each
-	// generated sequence.
-	DisableValidation bool
 	// StrictInit demands true synchronizing sequences from the all-X
 	// power-up state. The default (optimistic) policy follows the 1990s
 	// convention the paper's s27 numbers imply: state bits that no input

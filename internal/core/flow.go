@@ -178,12 +178,6 @@ func (w *worker) process(ctx context.Context, rs *runState, p, i int) (faultOutc
 		if w.e.opts.Compact || w.e.opts.DeferCredit {
 			skip = nil
 		}
-		if ff == nil {
-			// Validation disabled: the winning frame was never derived,
-			// so it is filled from the fault's master seed.
-			w.rng.Seed(w.fseed)
-			ff = w.fastFrame(o.seq)
-		}
 		if w.e.opts.ScalarCredit {
 			o.detected = w.td.DetectScalar(ff, skip)
 		} else {
@@ -264,15 +258,12 @@ func (w *worker) generate(ctx context.Context, f faults.Delay) (*TestSequence, *
 		seq.Sync = sync.Vectors
 		seq.Assumed = sync.Assumed
 
-		if !w.e.opts.DisableValidation {
-			ff, ok := w.validate(seq)
-			if !ok {
-				valFail++
-				continue
-			}
-			return seq, ff, Tested, valFail, false
+		ff, ok := w.validate(seq)
+		if !ok {
+			valFail++
+			continue
 		}
-		return seq, nil, Tested, valFail, false
+		return seq, ff, Tested, valFail, false
 	}
 }
 

@@ -76,51 +76,80 @@ func TestStuckCoverageMatchesScalar(t *testing.T) {
 
 	got := s.StuckCoverage(vectors, lines)
 	want := scalarStuckCoverage(net, vectors, lines)
-	if len(got) != len(want) {
-		t.Fatalf("result size %d, want %d", len(got), len(want))
+	if len(got) != len(lines) {
+		t.Fatalf("result size %d, want %d", len(got), len(lines))
 	}
-	for l, w := range want {
-		if got[l] != w {
-			t.Errorf("line %s: batched %v, scalar %v", c.LineName(l), got[l], w)
+	for i, l := range lines {
+		if got[i] != want[l] {
+			t.Errorf("line %s: batched %v, scalar %v", c.LineName(l), got[i], want[l])
 		}
 	}
 }
 
+// requireMultiBatch fails the test unless the flip candidates of
+// ObservablePPOs(good, nonSteady) span at least three 64-machine
+// batches, the last one partial.
+func requireMultiBatch(t *testing.T, good []sim.V3, nonSteady []bool) {
+	t.Helper()
+	n := 0
+	for i, ns := range nonSteady {
+		if ns && good[i].Known() {
+			n++
+		}
+	}
+	if n <= 128 || n%64 == 0 {
+		t.Fatalf("fixture has %d flip candidates, want > 128 and not a multiple of 64", n)
+	}
+}
+
 // TestObservablePPOsMatchesScalar cross-checks the batched observability
-// analysis against per-flip PairDiff replays on a real benchmark.
+// analysis against per-flip PairDiff replays on real benchmarks. The
+// s15850-class circuit's 534 flip-flops split into several batches, so
+// verdicts from later and partial batches are checked too.
 func TestObservablePPOsMatchesScalar(t *testing.T) {
-	c := bench.ProfileByName("s298").Circuit()
-	net := sim.NewNet(c)
-	s := New(net)
-	rng := rand.New(rand.NewSource(6))
-
-	for round := 0; round < 10; round++ {
-		good := make([]sim.V3, len(c.DFFs))
-		nonSteady := make([]bool, len(c.DFFs))
-		for i := range good {
-			good[i] = sim.V3(rng.Intn(2))
-			nonSteady[i] = rng.Intn(3) > 0
+	for _, tc := range []struct {
+		name              string
+		rounds, shortRuns int
+	}{{"s298", 10, 10}, {"s15850", 2, 1}} {
+		c := bench.ProfileByName(tc.name).Circuit()
+		net := sim.NewNet(c)
+		s := New(net)
+		rng := rand.New(rand.NewSource(6))
+		rounds := tc.rounds
+		if testing.Short() {
+			rounds = tc.shortRuns
 		}
-		var vectors [][]sim.V3
-		for k := 0; k < 4; k++ {
-			v := make([]sim.V3, len(c.PIs))
-			for i := range v {
-				v[i] = sim.V3(rng.Intn(2))
+		for round := 0; round < rounds; round++ {
+			good := make([]sim.V3, len(c.DFFs))
+			nonSteady := make([]bool, len(c.DFFs))
+			for i := range good {
+				good[i] = sim.V3(rng.Intn(2))
+				nonSteady[i] = rng.Intn(3) > 0
 			}
-			vectors = append(vectors, v)
-		}
+			if len(c.DFFs) > 128 {
+				requireMultiBatch(t, good, nonSteady)
+			}
+			var vectors [][]sim.V3
+			for k := 0; k < 4; k++ {
+				v := make([]sim.V3, len(c.PIs))
+				for i := range v {
+					v[i] = sim.V3(rng.Intn(2))
+				}
+				vectors = append(vectors, v)
+			}
 
-		got := s.ObservablePPOs(good, nonSteady, vectors)
-		for i, ns := range nonSteady {
-			want := false
-			if ns && good[i].Known() {
-				faulty := append([]sim.V3(nil), good...)
-				faulty[i] = sim.Not3(faulty[i])
-				frame, po := s.PairDiff(good, faulty, vectors)
-				want = frame >= 0 && po >= 0
-			}
-			if got[i] != want {
-				t.Errorf("round %d ppo %d: batched %v, scalar %v", round, i, got[i], want)
+			got, _ := s.ObservablePPOs(good, nonSteady, vectors)
+			for i, ns := range nonSteady {
+				want := false
+				if ns && good[i].Known() {
+					faulty := append([]sim.V3(nil), good...)
+					faulty[i] = sim.Not3(faulty[i])
+					frame, po := s.PairDiff(good, faulty, vectors)
+					want = frame >= 0 && po >= 0
+				}
+				if got[i] != want {
+					t.Errorf("%s round %d ppo %d: batched %v, scalar %v", tc.name, round, i, got[i], want)
+				}
 			}
 		}
 	}

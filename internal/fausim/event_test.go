@@ -93,20 +93,31 @@ func TestPairDiffBatchEventMatchesFull(t *testing.T) {
 
 // TestObservablePPOsEventMatchesFull: phase-2 observability verdicts are
 // identical on both paths, over random states, nonSteady masks and
-// propagation vectors (X entries included).
+// propagation vectors (X entries included). The s15850-class circuit
+// runs several batches per call, the last one partial.
 func TestObservablePPOsEventMatchesFull(t *testing.T) {
-	for _, name := range []string{"s298", "s641"} {
-		c := bench.ProfileByName(name).Circuit()
+	for _, tc := range []struct {
+		name              string
+		trials, shortRuns int
+	}{{"s298", 25, 25}, {"s641", 25, 25}, {"s15850", 5, 2}} {
+		c := bench.ProfileByName(tc.name).Circuit()
 		evt := New(sim.NewNet(c))
 		full := New(sim.NewNet(c))
 		full.SetFullEval(true)
 		rng := rand.New(rand.NewSource(23))
-		for trial := 0; trial < 25; trial++ {
+		trials := tc.trials
+		if testing.Short() {
+			trials = tc.shortRuns
+		}
+		for trial := 0; trial < trials; trial++ {
 			good := make([]sim.V3, len(c.DFFs))
 			nonSteady := make([]bool, len(c.DFFs))
 			for i := range good {
 				good[i] = sim.V3(rng.Intn(3)) // X entries exercise the skip
 				nonSteady[i] = rng.Intn(4) != 0
+			}
+			if len(c.DFFs) > 128 {
+				requireMultiBatch(t, good, nonSteady)
 			}
 			var vectors [][]sim.V3
 			for k := 0; k < 1+rng.Intn(4); k++ {
@@ -116,11 +127,11 @@ func TestObservablePPOsEventMatchesFull(t *testing.T) {
 				}
 				vectors = append(vectors, vec)
 			}
-			eo := evt.ObservablePPOs(good, nonSteady, vectors)
-			fo := full.ObservablePPOs(good, nonSteady, vectors)
+			eo, _ := evt.ObservablePPOs(good, nonSteady, vectors)
+			fo, _ := full.ObservablePPOs(good, nonSteady, vectors)
 			for i := range eo {
 				if eo[i] != fo[i] {
-					t.Fatalf("%s trial %d PPO %d: event %v, full %v", name, trial, i, eo[i], fo[i])
+					t.Fatalf("%s trial %d PPO %d: event %v, full %v", tc.name, trial, i, eo[i], fo[i])
 				}
 			}
 		}

@@ -14,7 +14,6 @@ package fausim
 
 import (
 	"math/rand"
-	"sort"
 
 	"fogbuster/internal/netlist"
 	"fogbuster/internal/sim"
@@ -31,11 +30,13 @@ type Sim struct {
 	fullEval bool
 
 	// Reusable 64-way scratch (lazily built): one dual-rail frame, one
-	// injector, and the dual-rail state rails carried between frames.
+	// injector, and the dual-rail state rails carried between frames;
+	// cand lists ObservablePPOs' flip candidates.
 	frame64            *sim.Frame64
 	inj64              *sim.Inject64
 	stateV, stateK     []sim.Word
 	scratchV, scratchK []sim.Word
+	cand               []int
 
 	// Scalar scratch of the event-driven paths: the good and faulty
 	// frame values and the states carried between frames.
@@ -46,9 +47,6 @@ type Sim struct {
 
 // New builds a simulator for the circuit.
 func New(net *sim.Net) *Sim { return &Sim{net: net} }
-
-// Net returns the underlying circuit view.
-func (s *Sim) Net() *sim.Net { return s.net }
 
 // SetFullEval selects between the event-driven selective-trace paths
 // (default) and the full levelized reference walks. Call it before the
@@ -194,27 +192,42 @@ func (s *Sim) PairDiff(goodState, faultyState []sim.V3, vectors [][]sim.V3) (int
 // machines with a provable good/faulty PO difference in some frame —
 // per machine exactly the PairDiff verdict (frame >= 0), because the
 // dual-rail evaluation is bit-exact against the scalar three-valued
-// simulation and a once-detected machine stays detected. The frame loop
-// stops as soon as every live machine is resolved.
-//
-// When the replay carries the full good-machine values (the event-driven
-// default), each frame evaluates only the dual-rail overlay of the state
-// bits that still diverge from the good machine, and the loop exits as
-// soon as every machine's state has collapsed onto the good one.
+// simulation and a once-detected machine stays detected.
 func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, vectors [][]sim.V3) sim.Word {
+	s.scratch64()
+	for i := range s.net.C.DFFs {
+		s.stateV[i], s.stateK[i] = faultyV[i], sim.AllOnes
+	}
+	return s.replay64(goods, nil, live, vectors)
+}
+
+// replay64 is the one 64-machine frame loop behind every batched entry
+// point. The machines start from the dual-rail state the caller loaded
+// into s.stateV/s.stateK and run fault free unless inj is non-nil, in
+// which case inj is applied in every frame. Each frame's POs are compared
+// against the good replay goods; the returned word marks the live
+// machines with a provable difference, and the loop stops as soon as
+// every live machine is resolved.
+//
+// Without an injection, when the replay carries the full good-machine
+// values (the event-driven default), each frame evaluates only the
+// dual-rail overlay of the state bits that still diverge from the good
+// machine, and the loop exits as soon as every machine's state has
+// collapsed onto the good one. Injected machines differ from the good
+// machine everywhere their faults reach, so they take the full walk.
+func (s *Sim) replay64(goods *Replay, inj *sim.Inject64, live sim.Word, vectors [][]sim.V3) sim.Word {
 	frame, _ := s.scratch64()
 	net := s.net
+	c := net.C
+	overlay := inj == nil && !s.fullEval && goods.vals != nil
 	stateV, stateK := s.stateV, s.stateK
-	for i := range net.C.DFFs {
-		stateV[i], stateK[i] = faultyV[i], sim.AllOnes
-	}
-	event := !s.fullEval && goods.vals != nil
+	nextV, nextK := s.scratchV, s.scratchK
 	var detected sim.Word
 	for fi, vec := range vectors {
-		if event {
+		if overlay {
 			base := goods.vals[fi]
 			seeded := false
-			for i, ff := range net.C.DFFs {
+			for i, ff := range c.DFFs {
 				bv, bk := sim.Broadcast64(base[ff])
 				if stateV[i] != bv || stateK[i] != bk {
 					net.Overlay64Set(frame, ff, stateV[i], stateK[i])
@@ -222,20 +235,20 @@ func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, ve
 				}
 			}
 			if !seeded {
-				// Every live machine's state coincides with the good
+				// Every machine's state coincides with the good
 				// machine's: no later frame can distinguish them.
 				return detected
 			}
 			net.Eval64DROverlay(frame, base)
 		} else {
 			net.LoadFrame64DR(frame, vec, nil)
-			for i, ff := range net.C.DFFs {
+			for i, ff := range c.DFFs {
 				frame.V[ff], frame.K[ff] = stateV[i], stateK[i]
 			}
-			net.Eval64DR(frame, nil)
+			net.Eval64DR(frame, inj)
 		}
-		for p, po := range net.C.POs {
-			if event && !net.Overlay64Marked(po) {
+		for p, po := range c.POs {
+			if overlay && !net.Overlay64Marked(po) {
 				continue // identical to the good machine: no provable diff
 			}
 			good := goods.Steps[fi].Outputs[p]
@@ -250,29 +263,28 @@ func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, ve
 			detected |= diff
 			live &^= diff
 			if live == 0 {
-				if event {
+				if overlay {
 					net.Overlay64Reset()
 				}
 				return detected
 			}
 		}
-		if event {
+		if overlay {
 			base := goods.vals[fi]
-			for i, ff := range net.C.DFFs {
-				d := net.C.Nodes[ff].Fanin[0]
+			for i, ff := range c.DFFs {
+				d := c.Nodes[ff].Fanin[0]
 				if net.Overlay64Marked(d) {
-					s.scratchV[i], s.scratchK[i] = frame.V[d], frame.K[d]
+					nextV[i], nextK[i] = frame.V[d], frame.K[d]
 				} else {
-					s.scratchV[i], s.scratchK[i] = sim.Broadcast64(base[d])
+					nextV[i], nextK[i] = sim.Broadcast64(base[d])
 				}
 			}
 			net.Overlay64Reset()
 		} else {
-			net.NextState64DR(frame, nil, s.scratchV, s.scratchK)
+			net.NextState64DR(frame, inj, nextV, nextK)
 		}
-		stateV, stateK = s.scratchV, s.scratchK
-		s.scratchV, s.scratchK = s.stateV, s.stateK
-		s.stateV, s.stateK = stateV, stateK
+		stateV, nextV = nextV, stateV
+		stateK, nextK = nextK, stateK
 	}
 	return detected
 }
@@ -285,266 +297,68 @@ func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, ve
 // fast frame — later frames are fault free — which is exactly how FAUSIM
 // treats it.
 //
-// All candidate flips are simulated together, 63 faulty machines plus the
-// good machine per 64-bit word, so the whole analysis costs a single
-// replay of the propagation frames per batch instead of one per flip-flop.
-func (s *Sim) ObservablePPOs(goodState []sim.V3, nonSteady []bool, vectors [][]sim.V3) []bool {
+// All candidate flips are simulated together, 64 flipped machines per
+// word compared against one good replay of the propagation frames, so
+// the whole analysis costs a single replay per batch instead of one per
+// flip-flop. The good replay, GoodReplay(goodState, vectors), is
+// returned for callers that simulate more machines over the same frames.
+func (s *Sim) ObservablePPOs(goodState []sim.V3, nonSteady []bool, vectors [][]sim.V3) ([]bool, *Replay) {
 	obs := make([]bool, len(goodState))
-	var cand []int
+	goods := s.GoodReplay(goodState, vectors)
+	s.scratch64()
+	cand := s.cand[:0]
 	for i, ns := range nonSteady {
 		if ns && goodState[i].Known() {
 			cand = append(cand, i)
 		}
 	}
-	const goodBit = 63 // machine 63 is the fault-free reference
+	s.cand = cand
 	for len(cand) > 0 {
-		batch := cand
-		if len(batch) > goodBit {
-			batch = batch[:goodBit]
-		}
+		batch := cand[:min(len(cand), 64)]
 		cand = cand[len(batch):]
-		s.observeBatch(goodState, batch, vectors, obs)
-	}
-	return obs
-}
-
-// observeBatch replays the propagation frames once for up to 63 state
-// flips: machine b starts from goodState with batch[b] flipped, machine 63
-// is the unmodified good machine. A machine whose PO word provably differs
-// from the good machine's is observable; the frame loop stops as soon as
-// every machine in the batch is resolved or the vectors run out.
-//
-// On the event-driven path the good machine runs scalar and the flipped
-// machines are a dual-rail overlay over it: only cones of still-diverging
-// state bits are evaluated per frame, and the replay stops once every
-// machine's state has collapsed onto the good one. The verdicts are
-// bit-identical to the full walk, where machine 63's rails are exactly
-// the broadcast of the scalar good values.
-func (s *Sim) observeBatch(goodState []sim.V3, batch []int, vectors [][]sim.V3, obs []bool) {
-	const goodBit = 63
-	frame, _ := s.scratch64()
-	net := s.net
-	stateV, stateK := s.stateV, s.stateK
-	for i, v := range goodState {
-		stateV[i], stateK[i] = sim.Broadcast64(v)
-	}
-	for b, ffIdx := range batch {
-		stateV[ffIdx] ^= sim.Word(1) << uint(b)
-	}
-	live := sim.Word(0)
-	for b := range batch {
-		live |= sim.Word(1) << uint(b)
-	}
-	if !s.fullEval {
-		s.observeBatchEvent(goodState, batch, vectors, obs, live)
-		return
-	}
-	for _, vec := range vectors {
-		net.LoadFrame64DR(frame, vec, nil)
-		for i, ff := range net.C.DFFs {
-			frame.V[ff], frame.K[ff] = stateV[i], stateK[i]
+		// Machine b starts from goodState with batch[b] flipped.
+		for i, v := range goodState {
+			s.stateV[i], s.stateK[i] = sim.Broadcast64(v)
 		}
-		net.Eval64DR(frame, nil)
-		for _, po := range net.C.POs {
-			v, k := frame.V[po], frame.K[po]
-			if k&(1<<goodBit) == 0 {
-				continue // good machine value unknown: no provable diff
-			}
-			good := sim.Word(0)
-			if v&(1<<goodBit) != 0 {
-				good = sim.AllOnes
-			}
-			diff := (v ^ good) & k & live
-			if diff == 0 {
-				continue
-			}
-			for b := range batch {
-				if diff&(1<<uint(b)) != 0 {
-					obs[batch[b]] = true
-				}
-			}
-			live &^= diff
-			if live == 0 {
-				return
-			}
+		for b, ffIdx := range batch {
+			s.stateV[ffIdx] ^= sim.Word(1) << uint(b)
 		}
-		net.NextState64DR(frame, nil, s.scratchV, s.scratchK)
-		stateV, stateK = s.scratchV, s.scratchK
-		s.scratchV, s.scratchK = s.stateV, s.stateK
-		s.stateV, s.stateK = stateV, stateK
+		det := s.replay64(goods, nil, sim.AllOnes>>uint(64-len(batch)), vectors)
+		for b, ffIdx := range batch {
+			obs[ffIdx] = det&(sim.Word(1)<<uint(b)) != 0
+		}
 	}
-}
-
-// observeBatchEvent is observeBatch's selective-trace body. The flipped
-// machines' rails were installed in s.stateV/s.stateK by the caller.
-func (s *Sim) observeBatchEvent(goodState []sim.V3, batch []int, vectors [][]sim.V3, obs []bool, live sim.Word) {
-	frame, _ := s.scratch64()
-	net := s.net
-	c := net.C
-	gv, _ := s.scratchScalar()
-	g := append(s.gstate[:0], goodState...)
-	stateV, stateK := s.stateV, s.stateK
-	for _, vec := range vectors {
-		s.net.LoadFrameInto(gv, vec, g)
-		net.Eval3(gv, nil)
-		seeded := false
-		for i, ff := range c.DFFs {
-			bv, bk := sim.Broadcast64(gv[ff])
-			if stateV[i] != bv || stateK[i] != bk {
-				net.Overlay64Set(frame, ff, stateV[i], stateK[i])
-				seeded = true
-			}
-		}
-		if !seeded {
-			return // every machine's state equals the good machine's
-		}
-		net.Eval64DROverlay(frame, gv)
-		for _, po := range c.POs {
-			if !net.Overlay64Marked(po) {
-				continue
-			}
-			good := gv[po]
-			if !good.Known() {
-				continue // good machine value unknown: no provable diff
-			}
-			gw, _ := sim.Broadcast64(good)
-			diff := (frame.V[po] ^ gw) & frame.K[po] & live
-			if diff == 0 {
-				continue
-			}
-			for b := range batch {
-				if diff&(1<<uint(b)) != 0 {
-					obs[batch[b]] = true
-				}
-			}
-			live &^= diff
-			if live == 0 {
-				net.Overlay64Reset()
-				return
-			}
-		}
-		for i, ff := range c.DFFs {
-			d := c.Nodes[ff].Fanin[0]
-			if net.Overlay64Marked(d) {
-				s.scratchV[i], s.scratchK[i] = frame.V[d], frame.K[d]
-			} else {
-				s.scratchV[i], s.scratchK[i] = sim.Broadcast64(gv[d])
-			}
-			g[i] = gv[d]
-		}
-		net.Overlay64Reset()
-		stateV, stateK = s.scratchV, s.scratchK
-		s.scratchV, s.scratchK = s.stateV, s.stateK
-		s.stateV, s.stateK = stateV, stateK
-	}
-}
-
-// stuck64 is one packed stuck-at fault instance.
-type stuck64 struct {
-	line netlist.Line
-	val  sim.V3
+	return obs, goods
 }
 
 // StuckCoverage fault-simulates a sequence against a set of stuck-at
-// faults by pair simulation from power-up, returning which are detected.
-// It is used by the standalone static-fault flow and the examples.
+// faults by pair simulation from power-up. out[i][v] reports whether
+// lines[i] stuck at v (0 or 1) is detected.
 //
-// The faults run 64 machines per word through the dual-rail simulator: one
-// good-machine replay is shared by all batches, each faulty machine drops
-// out of its batch on the first provable PO difference, and a batch whose
-// machines are all detected stops before the frame loop ends.
-func (s *Sim) StuckCoverage(vectors [][]sim.V3, lines []netlist.Line) map[netlist.Line][2]bool {
-	out := make(map[netlist.Line][2]bool, len(lines))
-	goods := s.net.SeqSim3(nil, vectors)
-
-	all := make([]stuck64, 0, 2*len(lines))
-	for _, l := range lines {
-		all = append(all, stuck64{l, sim.Lo}, stuck64{l, sim.Hi})
-	}
-	for len(all) > 0 {
-		batch := all
-		if len(batch) > 64 {
-			batch = batch[:64]
+// The faults run 64 machines per word through the dual-rail simulator,
+// machines 2j and 2j+1 of a batch holding the batch's j-th line stuck at
+// 0 and at 1: one good-machine replay is shared by all batches, each
+// faulty machine drops out of its batch on the first provable PO
+// difference, and a batch whose machines are all detected stops before
+// the frame loop ends.
+func (s *Sim) StuckCoverage(vectors [][]sim.V3, lines []netlist.Line) [][2]bool {
+	out := make([][2]bool, len(lines))
+	goods := &Replay{Steps: s.net.SeqSim3(nil, vectors)}
+	_, inj := s.scratch64()
+	for base := 0; base < len(lines); base += 32 {
+		batch := lines[base:min(base+32, len(lines))]
+		inj.Reset()
+		for j, l := range batch {
+			inj.Add(uint(2*j), l, sim.Lo)
+			inj.Add(uint(2*j+1), l, sim.Hi)
 		}
-		all = all[len(batch):]
-		detected := s.stuckBatch(vectors, goods, batch)
-		for b, f := range batch {
-			det := out[f.line]
-			if detected&(1<<uint(b)) != 0 {
-				det[f.val] = true
-			}
-			out[f.line] = det
+		for i := range s.stateV {
+			s.stateV[i], s.stateK[i] = 0, 0 // power-up: all X
+		}
+		det := s.replay64(goods, inj, sim.AllOnes>>uint(64-2*len(batch)), vectors)
+		for j := range batch {
+			out[base+j] = [2]bool{det&(1<<uint(2*j)) != 0, det&(1<<uint(2*j+1)) != 0}
 		}
 	}
 	return out
-}
-
-// Detection pairs one line with its stuck-at detection flags, the
-// flattened form of one StuckCoverage entry. Det is indexed by the stuck
-// value: Det[0] is stuck-at-0, Det[1] is stuck-at-1.
-type Detection struct {
-	Line netlist.Line
-	Det  [2]bool
-}
-
-// SortedDetections flattens a StuckCoverage result into deterministic
-// (Node, Branch) order, so reports, tests and heuristics never iterate
-// the Go map directly.
-func SortedDetections(cov map[netlist.Line][2]bool) []Detection {
-	out := make([]Detection, 0, len(cov))
-	for l, det := range cov {
-		out = append(out, Detection{Line: l, Det: det}) //lint:allow determinism sorted into (Node, Branch) order below before return
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Line.Node != out[j].Line.Node {
-			return out[i].Line.Node < out[j].Line.Node
-		}
-		return out[i].Line.Branch < out[j].Line.Branch
-	})
-	return out
-}
-
-// stuckBatch pair-simulates up to 64 stuck-at machines against the
-// precomputed good replay and returns the detected machine mask.
-func (s *Sim) stuckBatch(vectors [][]sim.V3, goods []sim.Step, batch []stuck64) sim.Word {
-	frame, inj := s.scratch64()
-	inj.Reset()
-	live := sim.Word(0)
-	for b, f := range batch {
-		inj.Add(uint(b), f.line, f.val)
-		live |= sim.Word(1) << uint(b)
-	}
-	stateV, stateK := s.stateV, s.stateK
-	for i := range stateV {
-		stateV[i], stateK[i] = 0, 0 // power-up: all X
-	}
-	detected := sim.Word(0)
-	for fi, vec := range vectors {
-		s.net.LoadFrame64DR(frame, vec, nil)
-		for i, ff := range s.net.C.DFFs {
-			frame.V[ff], frame.K[ff] = stateV[i], stateK[i]
-		}
-		s.net.Eval64DR(frame, inj)
-		for p, po := range s.net.C.POs {
-			good := goods[fi].Outputs[p]
-			if !good.Known() {
-				continue
-			}
-			gw, _ := sim.Broadcast64(good)
-			diff := (frame.V[po] ^ gw) & frame.K[po] & live
-			if diff == 0 {
-				continue
-			}
-			detected |= diff
-			live &^= diff
-			if live == 0 {
-				return detected
-			}
-		}
-		s.net.NextState64DR(frame, inj, s.scratchV, s.scratchK)
-		stateV, stateK = s.scratchV, s.scratchK
-		s.scratchV, s.scratchK = s.stateV, s.stateK
-		s.stateV, s.stateK = stateV, stateK
-	}
-	return detected
 }

@@ -41,17 +41,13 @@ func adiKeys(c *netlist.Circuit, all []faults.Delay, seed int64) []int64 {
 			}
 			vectors[f] = vec
 		}
-		// Indexing the result by the canonical lines slice keeps the
-		// accumulation deterministic without paying SortedDetections'
-		// per-sequence sort.
 		cov := fs.StuckCoverage(vectors, lines)
-		for _, l := range lines {
-			det := cov[l]
+		for i, l := range lines {
 			cnt := counts[l]
-			if det[0] {
+			if cov[i][0] {
 				cnt[0]++
 			}
-			if det[1] {
+			if cov[i][1] {
 				cnt[1]++
 			}
 			counts[l] = cnt

@@ -11,8 +11,8 @@ import (
 // TestPropagateEventMatchesFullEval: the propagation search's delta
 // evaluation (only the changed PI's cone per decision) must walk exactly
 // the same search tree as the full-eval oracle — same status, same
-// vectors, same observing PO, same required PPIs, same backtrack count —
-// over random composite handoff states on sequential bench circuits.
+// vectors, same observing PO, same backtrack count — over random
+// composite handoff states on sequential bench circuits.
 func TestPropagateEventMatchesFullEval(t *testing.T) {
 	vals5 := []sim.V5{sim.Z5, sim.O5, sim.X5, sim.D5, sim.B5}
 	for _, name := range []string{"s298", "s641"} {
@@ -46,9 +46,6 @@ func TestPropagateEventMatchesFullEval(t *testing.T) {
 						t.Fatalf("%s trial %d: vectors diverge at frame %d bit %d", name, trial, k, j)
 					}
 				}
-			}
-			if len(re.RequiredPPIs) != len(rf.RequiredPPIs) {
-				t.Fatalf("%s trial %d: required PPIs differ", name, trial)
 			}
 		}
 	}

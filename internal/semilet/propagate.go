@@ -12,10 +12,6 @@ import (
 type PropResult struct {
 	Vectors [][]sim.V3
 	PO      int
-	// RequiredPPIs lists the FF indices whose known initial value the
-	// propagation actually relies on; the fault simulator's invalidation
-	// check must ensure the fault cannot corrupt them as a side effect.
-	RequiredPPIs []int
 }
 
 // Propagate drives the fault effect in state (D/D' entries, known bits and
@@ -151,7 +147,6 @@ const (
 // PI toward pushing the D-frontier, or decides to advance a frame, or
 // reports that the frame is a dead end.
 func (p *propSearch) step(f *propFrame, vals []sim.V5) stepKind {
-	c := p.e.net.C
 	if p.xPathToPO(vals) {
 		if pi, val := p.frontierObjective(f, vals); pi >= 0 {
 			order := p.probeOrder(f, pi, val)
@@ -170,7 +165,6 @@ func (p *propSearch) step(f *propFrame, vals []sim.V5) stepKind {
 			return stepAdvance
 		}
 	}
-	_ = c
 	return stepFail
 }
 
@@ -368,9 +362,7 @@ func (p *propSearch) backtrack() bool {
 	return false
 }
 
-// extract records the solution and computes which known initial state bits
-// the propagation actually relies on, by re-simulating with each one
-// masked to X.
+// extract records the solution.
 func (p *propSearch) extract(po int) *PropResult {
 	res := &PropResult{PO: po}
 	for i := range p.frames {
@@ -380,34 +372,5 @@ func (p *propSearch) extract(po int) *PropResult {
 		}
 		res.Vectors = append(res.Vectors, vec)
 	}
-	initial := p.frames[0].state
-	for ffIdx, v := range initial {
-		if v == sim.X5 || v.IsD() {
-			continue
-		}
-		masked := append([]sim.V5(nil), initial...)
-		masked[ffIdx] = sim.X5
-		if !p.replayObserves(masked, res.Vectors, po) {
-			res.RequiredPPIs = append(res.RequiredPPIs, ffIdx)
-		}
-	}
 	return res
-}
-
-// replayObserves re-simulates the recorded vectors from the given initial
-// state and reports whether the PO still carries the effect in the final
-// frame.
-func (p *propSearch) replayObserves(state []sim.V5, vectors [][]sim.V3, po int) bool {
-	cur := state
-	var vals []sim.V5
-	for _, vec := range vectors {
-		v5 := make([]sim.V5, len(vec))
-		for i, b := range vec {
-			v5[i] = sim.FromV3(b)
-		}
-		vals = p.e.net.LoadFrame5(v5, cur)
-		p.e.net.Eval5(vals)
-		cur = p.e.net.NextState5(vals)
-	}
-	return vals[p.e.net.C.POs[po]].IsD()
 }

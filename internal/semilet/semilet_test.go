@@ -63,10 +63,6 @@ func TestPropagateRequiresSideValues(t *testing.T) {
 	if len(res.Vectors) != 1 {
 		t.Fatalf("frames = %d, want 1", len(res.Vectors))
 	}
-	// The known q1 bit must be reported as required.
-	if len(res.RequiredPPIs) != 1 || res.RequiredPPIs[0] != 1 {
-		t.Fatalf("required PPIs = %v, want [1]", res.RequiredPPIs)
-	}
 }
 
 // TestPropagateNeedsPIAssignment: the effect passes an AND gate gated by a

@@ -152,7 +152,10 @@ func TestResumeWithClientCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointMismatchedCircuitRejected: a checkpoint submitted with a
-// different circuit is a 4xx error, not a crash or a silent wrong run.
+// different circuit is a 4xx error, not a crash or a silent wrong run. So
+// is one whose config key carries a field Config no longer has (written
+// before the field's removal): a 400, like a submit carrying it, never a
+// silent resume in another mode.
 func TestCheckpointMismatchedCircuitRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{CheckpointEvery: 2 * time.Millisecond})
 	st := postJob(t, ts.URL, SubmitRequest{Benchmark: "s27", Config: atpg.Config{Workers: 1}})
@@ -168,6 +171,20 @@ func TestCheckpointMismatchedCircuitRejected(t *testing.T) {
 	_, code = postJobCode(t, ts.URL, SubmitRequest{Benchmark: "s298", Checkpoint: &ck})
 	if code < 400 || code >= 500 {
 		t.Errorf("mismatched-circuit resume returned %d, want a 4xx", code)
+	}
+
+	var key map[string]any
+	if err := json.Unmarshal([]byte(ck.ConfigKey), &key); err != nil {
+		t.Fatal(err)
+	}
+	key["disable_validation"] = true
+	b, err := json.Marshal(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.ConfigKey = string(b)
+	if _, code = postJobCode(t, ts.URL, SubmitRequest{Benchmark: "s27", Checkpoint: &ck}); code != http.StatusBadRequest {
+		t.Errorf("resume with a removed config field returned %d, want 400", code)
 	}
 }
 

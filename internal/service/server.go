@@ -306,7 +306,13 @@ func (s *Server) resumeJob(circuit *atpg.Circuit, ckpt *atpg.Checkpoint, timeout
 		return nil, http.StatusBadRequest, err
 	}
 	var cfg atpg.Config
-	if err := json.Unmarshal([]byte(ckpt.ConfigKey), &cfg); err != nil {
+	dec := json.NewDecoder(strings.NewReader(ckpt.ConfigKey))
+	dec.DisallowUnknownFields() // as on submit: a removed field must not resume in another mode
+	err = dec.Decode(&cfg)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("trailing data after the config object")
+	}
+	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("corrupt checkpoint config key: %v", err)
 	}
 	cfg, err = cfg.Canonical()

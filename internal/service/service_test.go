@@ -564,14 +564,16 @@ func TestAPIErrors(t *testing.T) {
 	}
 	// A config field the wire no longer carries is an unknown field, not
 	// a silently ignored one.
-	removed, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"benchmark":"s27","config":{"broadcast":true}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed.Body.Close()
-	if removed.StatusCode != http.StatusBadRequest {
-		t.Errorf("removed config field: returned %d, want 400", removed.StatusCode)
+	for _, field := range []string{"broadcast", "disable_validation"} {
+		removed, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"benchmark":"s27","config":{"`+field+`":true}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		removed.Body.Close()
+		if removed.StatusCode != http.StatusBadRequest {
+			t.Errorf("removed config field %s: returned %d, want 400", field, removed.StatusCode)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")

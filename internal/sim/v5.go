@@ -79,9 +79,6 @@ func FromPair(g, f V3) V5 {
 	}
 }
 
-// FromV3 lifts a three-valued value into the composite domain.
-func FromV3(v V3) V5 { return FromPair(v, v) }
-
 // EvalGate5 evaluates one gate in the composite domain by evaluating the
 // good and faulty components separately.
 func EvalGate5(t netlist.GateType, ins []V5) V5 {

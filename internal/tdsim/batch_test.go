@@ -48,7 +48,7 @@ func TestConfirmBatchMatchesScalar(t *testing.T) {
 				for i, ppo := range c.PPOs() {
 					goodS2[i] = sim.V3(vals[ppo].Final())
 				}
-				td.ConfirmBatch(ff, vals, goodS2, all, out)
+				td.ConfirmBatch(ff, vals, goodS2, nil, all, out)
 				for i, f := range all {
 					if want := td.Confirm(ff, vals, goodS2, f); out[i] != want {
 						t.Fatalf("%s/%s trial %d fault %s: batched %v, scalar %v",

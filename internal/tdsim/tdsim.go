@@ -203,7 +203,9 @@ func (s *Sim) detect(ff *FastFrame, skip func(faults.Delay) bool, batched bool) 
 		goodS2[i] = sim.V3(vals[ppo].Final())
 		nonSteady[i] = !vals[ppo].Steady()
 	}
-	obsPPO := s.fs.ObservablePPOs(goodS2, nonSteady, ff.Prop)
+	// Phase 2's good replay of the propagation frames also serves the
+	// batched confirmation below.
+	obsPPO, goods := s.fs.ObservablePPOs(goodS2, nonSteady, ff.Prop)
 
 	// Phase 3 (TDsim): critical path tracing from the POs and from the
 	// observable PPOs, then exact confirmation per candidate. The skip
@@ -226,7 +228,7 @@ func (s *Sim) detect(ff *FastFrame, skip func(faults.Delay) bool, batched bool) 
 			s.verdicts = make([]bool, len(cands))
 		}
 		out := s.verdicts[:len(cands)]
-		s.ConfirmBatch(ff, vals, goodS2, cands, out)
+		s.ConfirmBatch(ff, vals, goodS2, goods, cands, out)
 		for i, f := range cands {
 			if out[i] {
 				detected = append(detected, f)
@@ -246,13 +248,13 @@ func (s *Sim) detect(ff *FastFrame, skip func(faults.Delay) bool, batched bool) 
 // machines per word: one carry-rail evaluation of the fast frame per
 // batch (see sim.EvalCarry64 for the encoding), the batched capture
 // rule, and one 64-way dual-rail replay of the propagation frames for
-// the machines observed only at a PPO, against a good replay computed
-// once per call. out[i] receives the verdict for cands[i] and must hold
-// at least len(cands) entries; every verdict is bit-identical to the
-// corresponding scalar Confirm call (pinned by
+// the machines observed only at a PPO, against the good replay goods
+// (fausim's GoodReplay(goodS2, ff.Prop); when nil it is computed at
+// most once per call, on first need). out[i] receives the verdict for
+// cands[i] and must hold at least len(cands) entries; every verdict is
+// bit-identical to the corresponding scalar Confirm call (pinned by
 // TestConfirmBatchMatchesScalar).
-func (s *Sim) ConfirmBatch(ff *FastFrame, goodVals []logic.Value, goodS2 []sim.V3, cands []faults.Delay, out []bool) {
-	var goods *fausim.Replay
+func (s *Sim) ConfirmBatch(ff *FastFrame, goodVals []logic.Value, goodS2 []sim.V3, goods *fausim.Replay, cands []faults.Delay, out []bool) {
 	for base := 0; base < len(cands); base += 64 {
 		chunk := cands[base:]
 		if len(chunk) > 64 {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 
 	"fogbuster/internal/core"
@@ -145,7 +147,7 @@ func CheckpointOf(res *Result, circuitHash string, cfg Config) (*Checkpoint, err
 // uninterrupted run — the prefix chronology is final and every fault's
 // search is a pure function of its canonical index. Resuming under a
 // different circuit (by content hash) or a corrupt checkpoint is an
-// error.
+// error; so is a config key naming a field Config no longer has.
 func Resume(c *Circuit, ckpt *Checkpoint) (*Session, error) {
 	if c == nil || c.c == nil {
 		return nil, errors.New("atpg: nil circuit")
@@ -156,8 +158,8 @@ func Resume(c *Circuit, ckpt *Checkpoint) (*Session, error) {
 	if got := c.ContentHash(); got != ckpt.CircuitHash {
 		return nil, fmt.Errorf("atpg: checkpoint is for a different circuit (content hash %.12s, want %.12s)", ckpt.CircuitHash, got)
 	}
-	var cfg Config
-	if err := json.Unmarshal([]byte(ckpt.ConfigKey), &cfg); err != nil {
+	cfg, err := decodeConfigKey(ckpt.ConfigKey)
+	if err != nil {
 		return nil, fmt.Errorf("atpg: corrupt checkpoint config key: %v", err)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -184,6 +186,20 @@ func Resume(c *Circuit, ckpt *Checkpoint) (*Session, error) {
 		}
 	}
 	return newSession(c, cfg, ckpt, nil)
+}
+
+// decodeConfigKey parses a checkpoint's config key strictly: a field
+// Config no longer has (a removed knob) is an error rather than silently
+// dropped, so a checkpoint never resumes in a mode other than the one
+// that wrote it.
+func decodeConfigKey(key string) (cfg Config, err error) {
+	dec := json.NewDecoder(strings.NewReader(key))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&cfg)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("trailing data after the config object")
+	}
+	return cfg, err
 }
 
 // MergeResults merges the partial Results of a run's disjoint shards

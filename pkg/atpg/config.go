@@ -58,9 +58,6 @@ type Config struct {
 	// DisableFaultSim turns off the post-generation fault simulation
 	// credit (every fault is then explicitly targeted).
 	DisableFaultSim bool `json:"disable_fault_sim,omitempty"`
-	// DisableValidation skips the independent end-to-end check of each
-	// generated sequence.
-	DisableValidation bool `json:"disable_validation,omitempty"`
 	// StrictInit demands true synchronizing sequences from the all-X
 	// power-up state instead of the default optimistic policy (see
 	// EXPERIMENTS.md).
@@ -214,19 +211,18 @@ func (c Config) engineOptions() (core.Options, error) {
 		return core.Options{}, fmt.Errorf("atpg: %v", err)
 	}
 	return core.Options{
-		Algebra:           alg,
-		LocalBacktracks:   c.LocalBacktracks,
-		SeqBacktracks:     c.SeqBacktracks,
-		MaxFrames:         c.MaxFrames,
-		DisableFaultSim:   c.DisableFaultSim,
-		DisableValidation: c.DisableValidation,
-		StrictInit:        c.StrictInit,
-		VariationBudget:   c.VariationBudget,
-		Seed:              c.Seed,
-		Workers:           c.Workers,
-		Order:             h,
-		Compact:           c.Compact,
-		MaxTargets:        c.MaxTargets,
-		DeferCredit:       c.Shards > 0,
+		Algebra:         alg,
+		LocalBacktracks: c.LocalBacktracks,
+		SeqBacktracks:   c.SeqBacktracks,
+		MaxFrames:       c.MaxFrames,
+		DisableFaultSim: c.DisableFaultSim,
+		StrictInit:      c.StrictInit,
+		VariationBudget: c.VariationBudget,
+		Seed:            c.Seed,
+		Workers:         c.Workers,
+		Order:           h,
+		Compact:         c.Compact,
+		MaxTargets:      c.MaxTargets,
+		DeferCredit:     c.Shards > 0,
 	}, nil
 }

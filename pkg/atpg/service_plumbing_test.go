@@ -173,10 +173,10 @@ func TestConfigCacheKey(t *testing.T) {
 		{Config{
 			Algebra: AlgebraNonRobust, Order: OrderADI,
 			LocalBacktracks: 7, SeqBacktracks: 9, MaxFrames: 11,
-			DisableFaultSim: true, DisableValidation: true, StrictInit: true,
+			DisableFaultSim: true, StrictInit: true,
 			VariationBudget: 2, Seed: -42, Workers: 3, MaxTargets: 64,
 			Shards: 4, ShardIndex: 1,
-		}, `{"algebra":"nonrobust","order":"adi","local_backtracks":7,"seq_backtracks":9,"max_frames":11,"disable_fault_sim":true,"disable_validation":true,"strict_init":true,"variation_budget":2,"seed":-42,"workers":3,"max_targets":64,"shards":4,"shard_index":1}`},
+		}, `{"algebra":"nonrobust","order":"adi","local_backtracks":7,"seq_backtracks":9,"max_frames":11,"disable_fault_sim":true,"strict_init":true,"variation_budget":2,"seed":-42,"workers":3,"max_targets":64,"shards":4,"shard_index":1}`},
 		// Compact excludes Shards, so it needs a config of its own.
 		{Config{Compact: true}, `{"algebra":"robust","order":"natural","local_backtracks":100,"seq_backtracks":100,"max_frames":32,"compact":true}`},
 	} {

@@ -264,7 +264,7 @@ func TestMergeResultsErrors(t *testing.T) {
 }
 
 // TestResumeErrors pins Resume's validation: wrong circuit, corrupt
-// key, nil inputs.
+// key (unparsable, naming a removed field, trailing data), nil inputs.
 func TestResumeErrors(t *testing.T) {
 	cfg := Config{Seed: 42}
 	c := mustBenchmark(t, "s27")
@@ -281,13 +281,31 @@ func TestResumeErrors(t *testing.T) {
 		t.Errorf("foreign circuit: err = %v", err)
 	}
 	bad := *ckpt
-	bad.ConfigKey = "{"
-	if _, err := Resume(c, &bad); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("corrupt key: err = %v", err)
+	for _, key := range []string{"{", withRemovedField(t, ckpt.ConfigKey), ckpt.ConfigKey + "{}"} {
+		bad.ConfigKey = key
+		if _, err := Resume(c, &bad); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("corrupt key %s: err = %v", key, err)
+		}
 	}
 	if _, err := Resume(c, nil); err == nil {
 		t.Error("nil checkpoint accepted")
 	}
+}
+
+// withRemovedField returns the config key with a field Config no longer
+// has: a checkpoint written before the field's removal.
+func withRemovedField(t *testing.T, key string) string {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal([]byte(key), &m); err != nil {
+		t.Fatal(err)
+	}
+	m["disable_validation"] = true
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestShardConfigValidation pins the Config-level shard checks.
