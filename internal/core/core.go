@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,9 +189,11 @@ type Options struct {
 	Compact bool
 	// OnEvent, when non-nil, receives the merge loop's commit
 	// notifications (see Event) synchronously on the RunContext
-	// goroutine, strictly in targeting order. The callback must not call
-	// back into the engine; it never changes the Summary — the stream is
-	// pure observation of the commits.
+	// goroutine, strictly in targeting order. A position's events fire
+	// after the position is committed, so the callback may take a
+	// snapshot with Engine.Committed; it must not call RunContext, and
+	// it never changes the Summary — the stream is pure observation of
+	// the commits.
 	OnEvent func(Event)
 	// Topology, when non-nil, is a prebuilt simulation topology for the
 	// circuit, letting many engines over the same circuit share one CSR
@@ -321,7 +324,8 @@ type CompactionStats struct {
 // state (circuit view, sequential engine, simulators, X-fill stream)
 // lives on workers cloned from the engine, so Run can shard the fault
 // universe across any number of goroutines without sharing mutable
-// state; the Engine itself holds only read-only inputs.
+// state; beside its read-only inputs the Engine holds only the Summary
+// of the run in progress, which the merge loop commits under mu.
 type Engine struct {
 	c    *netlist.Circuit
 	opts Options
@@ -331,6 +335,9 @@ type Engine struct {
 	topo *sim.Topology    // immutable CSR topology shared by all workers
 
 	index map[faults.Delay]int
+
+	mu   sync.Mutex
+	live *Summary // nil until RunContext has built its Summary
 }
 
 // New prepares an engine for the circuit, rejecting options no run
@@ -455,28 +462,8 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 	}
 	perm := order.Permutation(e.c, all, e.opts.Order, e.opts.Seed)
 
-	sum := &Summary{Circuit: e.c.Name, Algebra: e.alg.Name(), Order: e.opts.Order.Name()}
-	sum.Results = make([]FaultResult, n)
-	for i, f := range all {
-		sum.Results[i].Fault = f
-	}
-
-	// nEff is the targeted prefix of the permutation: all of it, or the
-	// first MaxTargets positions of a budgeted run. The run's window
-	// [lo, hi) is that whole prefix, or the shard sub-range clamped to
-	// it.
-	nEff := n
-	if e.opts.MaxTargets > 0 && e.opts.MaxTargets < n {
-		nEff = e.opts.MaxTargets
-	}
-	lo, hi := e.opts.ShardLo, nEff
-	if e.opts.ShardHi > 0 && e.opts.ShardHi < nEff {
-		hi = e.opts.ShardHi
-	}
-	if lo > hi {
-		lo = hi
-	}
-	sum.Lo, sum.Hi = lo, hi
+	sum := e.newSummary(all)
+	lo, hi := sum.Lo, sum.Hi
 	if e.opts.DeferCredit {
 		// Natural order has no materialized permutation (nil means
 		// identity); a shard result still records its window's slice.
@@ -489,18 +476,18 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 		}
 	}
 
-	// status is written only by the merge loop; workers read it to skip
-	// faults that are already classified (a racy read can only cause a
-	// harmless speculative generation, never a wrong result, because the
-	// merge loop re-checks before committing). A resumed run seeds it
-	// with the checkpoint's committed statuses.
+	// status mirrors the committed statuses for the workers, which read
+	// it to skip faults that are already classified (a racy read can
+	// only cause a harmless speculative generation, never a wrong
+	// result, because the merge loop re-checks before committing). A
+	// resumed run seeds it with the checkpoint's committed statuses.
 	status := make([]atomic.Uint32, n)
 	for i, st := range e.opts.Preload {
-		if st != Pending {
-			status[i].Store(uint32(st))
-		}
+		status[i].Store(uint32(st))
 	}
-	committed := hi
+	e.mu.Lock()
+	e.live = sum
+	e.mu.Unlock()
 	if hi > lo {
 		workers := e.opts.workerCount()
 		if workers > hi-lo {
@@ -521,69 +508,127 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 				e.newWorker().run(ctx, rs)
 			}()
 		}
-		committed = e.merge(ctx, sum, rs, lo, hi)
+		e.merge(ctx, sum, rs)
 		wg.Wait()
 	}
-	sum.Cursor = committed
 
-	for i := range all {
-		st := Status(status[i].Load())
-		sum.Results[i].Status = st
-		switch st {
-		case Tested:
-			sum.Tested++
-			sum.Explicit++
-		case TestedBySim:
-			sum.Tested++
-		case Untestable:
-			sum.Untestable++
-		case Aborted:
-			sum.Aborted++
-		}
-	}
+	e.mu.Lock()
 	sum.Runtime = time.Since(start) //lint:allow determinism Summary.Runtime is the one wall-clock field; canonical JSON zeroes it
-	if committed < hi {
+	e.mu.Unlock()
+	if sum.Cursor < hi {
 		// Only a done context makes the merge loop stop short.
 		return sum, ctx.Err()
 	}
 	return sum, nil
 }
 
+// newSummary builds the Summary of a run that has committed nothing:
+// every fault as preloaded, and the cursor at the low end of the run's
+// window.
+func (e *Engine) newSummary(all []faults.Delay) *Summary {
+	sum := &Summary{Circuit: e.c.Name, Algebra: e.alg.Name(), Order: e.opts.Order.Name()}
+	sum.Results = make([]FaultResult, len(all))
+	for i, f := range all {
+		sum.Results[i].Fault = f
+	}
+	for i, st := range e.opts.Preload {
+		sum.Results[i].Status = st
+		sum.count(st)
+	}
+	// The targeted prefix of the permutation is all of it, or the first
+	// MaxTargets positions of a budgeted run. The run's window [Lo, Hi)
+	// is that whole prefix, or the shard sub-range clamped to it.
+	sum.Hi = len(all)
+	if e.opts.MaxTargets > 0 && e.opts.MaxTargets < sum.Hi {
+		sum.Hi = e.opts.MaxTargets
+	}
+	if e.opts.ShardHi > 0 && e.opts.ShardHi < sum.Hi {
+		sum.Hi = e.opts.ShardHi
+	}
+	sum.Lo = min(e.opts.ShardLo, sum.Hi)
+	sum.Cursor = sum.Lo
+	return sum
+}
+
+// count adds one committed status to the Table 3 columns.
+func (s *Summary) count(st Status) {
+	switch st {
+	case Tested:
+		s.Tested++
+		s.Explicit++
+	case TestedBySim:
+		s.Tested++
+	case Untestable:
+		s.Untestable++
+	case Aborted:
+		s.Aborted++
+	}
+}
+
+// Committed returns a copy of the Summary the run has committed, as of
+// the last position boundary: statuses, sequences, counters and Cursor
+// describe the same prefix, and Runtime stays zero until the run
+// returns. Before RunContext has built its Summary it returns the empty
+// prefix (the preloaded statuses, Cursor at the window's low end, no
+// Perm); after RunContext returns, the final Summary. It is safe to
+// call from any goroutine, an OnEvent callback included. The copy
+// shares the committed TestSequences.
+func (e *Engine) Committed() *Summary {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.live == nil {
+		return e.newSummary(faults.AllDelay(e.c))
+	}
+	cp := *e.live
+	cp.Results = make([]FaultResult, len(cp.Results))
+	copy(cp.Results, e.live.Results)
+	cp.SeqOrder = slices.Clip(cp.SeqOrder) // the merge loop appends in place
+	return &cp
+}
+
 // merge commits worker outcomes strictly in targeting order (positions
 // in the ordering permutation; fault order when perm is nil) over the
-// window [lo, hi) and returns the final cursor — the next position it
-// would have committed. Out-of-order arrivals wait in a reorder buffer;
-// a committed Tested outcome applies its simulation credit to every
+// window [sum.Lo, sum.Hi), advancing sum.Cursor, the next position it
+// would commit. Out-of-order arrivals wait in a reorder buffer; a
+// committed Tested outcome applies its simulation credit to every
 // still-pending fault (unless Options.DeferCredit moves that replay to
 // merge time across shards), and an outcome for a fault that an earlier
 // commit credited is discarded, exactly reproducing the serial
-// processing order. Options.OnEvent observes every commit in that order.
-// A done context stops the loop before the next commit.
-func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState, lo, hi int) int {
+// processing order. Each position commits under e.mu, so Committed
+// never sees part of one. Options.OnEvent observes every commit in that
+// order, after the lock is released: a callback may block on a slow
+// consumer or take a snapshot. A done context stops the loop before the
+// next commit, even one whose outcome has already arrived.
+func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState) {
 	emit := e.opts.OnEvent
 	reorder := make(map[int]faultOutcome)
-	cursor := lo
-	for cursor < hi {
+	var credited []int // faults the position's sequence credited
+	set := func(i int, st Status) {
+		rs.status[i].Store(uint32(st))
+		sum.Results[i].Status = st
+		sum.count(st)
+	}
+	for sum.Cursor < sum.Hi {
 		var o faultOutcome
 		select {
 		case o = <-rs.results:
 		case <-ctx.Done():
-			return cursor
+			return
 		}
 		reorder[o.idx] = o
-		for {
-			cur, ok := reorder[cursor]
+		for ctx.Err() == nil {
+			cur, ok := reorder[sum.Cursor]
 			if !ok {
 				break
 			}
-			delete(reorder, cursor)
-			fi := rs.faultAt(cursor)
-			if Status(rs.status[fi].Load()) == Pending {
-				rs.status[fi].Store(uint32(cur.status))
+			delete(reorder, sum.Cursor)
+			fi := rs.faultAt(sum.Cursor)
+			fresh := sum.Results[fi].Status == Pending
+			credited = credited[:0]
+			e.mu.Lock()
+			if fresh {
+				set(fi, cur.status)
 				sum.ValidationFailures += cur.valFail
-				if emit != nil && cur.status != Pending {
-					emit(Event{Kind: EventFaultClassified, Index: fi, Fault: sum.Results[fi].Fault, Status: cur.status, ValFail: cur.valFail})
-				}
 				if cur.status == Tested {
 					sum.Results[fi].Seq = cur.seq
 					sum.Patterns += cur.seq.Len()
@@ -591,26 +636,32 @@ func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState, lo, hi i
 					if e.opts.Compact || e.opts.DeferCredit {
 						cur.seq.Detects = cur.detected
 					}
-					if emit != nil {
-						emit(Event{Kind: EventSequenceGenerated, Index: fi, Fault: sum.Results[fi].Fault, Seq: cur.seq})
-					}
 					if !e.opts.DeferCredit {
 						for _, f := range cur.detected {
-							if j, ok := e.index[f]; ok && Status(rs.status[j].Load()) == Pending {
-								rs.status[j].Store(uint32(TestedBySim))
-								if emit != nil {
-									emit(Event{Kind: EventCreditApplied, Index: j, Fault: f, Status: TestedBySim, By: sum.Results[fi].Fault, ByIndex: fi})
-								}
+							if j, ok := e.index[f]; ok && sum.Results[j].Status == Pending {
+								set(j, TestedBySim)
+								credited = append(credited, j)
 							}
 						}
 					}
 				}
 			}
-			cursor++
-			if emit != nil {
-				emit(Event{Kind: EventProgress, Done: cursor, Total: hi})
+			sum.Cursor++
+			e.mu.Unlock()
+			if emit == nil {
+				continue
 			}
+			target := sum.Results[fi].Fault
+			if fresh && cur.status != Pending {
+				emit(Event{Kind: EventFaultClassified, Index: fi, Fault: target, Status: cur.status, ValFail: cur.valFail})
+			}
+			if fresh && cur.status == Tested {
+				emit(Event{Kind: EventSequenceGenerated, Index: fi, Fault: target, Seq: cur.seq})
+				for _, j := range credited {
+					emit(Event{Kind: EventCreditApplied, Index: j, Fault: sum.Results[j].Fault, Status: TestedBySim, By: target, ByIndex: fi})
+				}
+			}
+			emit(Event{Kind: EventProgress, Done: sum.Cursor, Total: sum.Hi})
 		}
 	}
-	return cursor
 }

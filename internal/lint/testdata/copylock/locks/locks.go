@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-type tracker struct {
+type gauge struct {
 	mu    sync.Mutex
 	count int
 }
@@ -17,19 +17,19 @@ type counters struct {
 
 // nested embeds a lock transitively.
 type nested struct {
-	inner tracker
+	inner gauge
 }
 
-func use(t tracker) int { // value receiver params are call-site findings, see below
+func use(t gauge) int { // value receiver params are call-site findings, see below
 	return t.count
 }
 
 func flagged() {
-	var a tracker
-	b := a // want "assignment copies tracker, which holds sync/atomic state"
+	var a gauge
+	b := a // want "assignment copies gauge, which holds sync/atomic state"
 	_ = b
 
-	use(a) // want "call argument copies tracker, which holds sync/atomic state"
+	use(a) // want "call argument copies gauge, which holds sync/atomic state"
 
 	var n nested
 	m := n // want "assignment copies nested, which holds sync/atomic state"
@@ -39,22 +39,22 @@ func flagged() {
 	d := c // want "assignment copies counters, which holds sync/atomic state"
 	_ = d
 
-	list := []tracker{{}, {}}
-	for _, item := range list { // want "range clause copies tracker, which holds sync/atomic state"
+	list := []gauge{{}, {}}
+	for _, item := range list { // want "range clause copies gauge, which holds sync/atomic state"
 		_ = item
 	}
 }
 
-func ret(t *tracker) tracker {
-	return *t // want "return statement copies tracker, which holds sync/atomic state"
+func ret(t *gauge) gauge {
+	return *t // want "return statement copies gauge, which holds sync/atomic state"
 }
 
 // Allowed shapes: fresh composite literals, pointers, and index-free use.
-func allowed() *tracker {
-	t := tracker{} // fresh literal: never shared, safe to place
-	arr := make([]tracker, 4)
-	arr[0] = tracker{count: 1} // fresh literal into a slot, the claimer idiom
-	for i := range arr {       // index-only range copies nothing
+func allowed() *gauge {
+	t := gauge{} // fresh literal: never shared, safe to place
+	arr := make([]gauge, 4)
+	arr[0] = gauge{count: 1} // fresh literal into a slot, the claimer idiom
+	for i := range arr {     // index-only range copies nothing
 		arr[i].count++
 	}
 	return &t

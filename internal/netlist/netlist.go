@@ -56,15 +56,6 @@ func (t GateType) String() string {
 // IsGate reports whether the type is a combinational gate (not Input/DFF).
 func (t GateType) IsGate() bool { return t != Input && t != DFF }
 
-// Inverting reports whether the gate type inverts its AND/OR/XOR core.
-func (t GateType) Inverting() bool {
-	switch t {
-	case Not, Nand, Nor, Xnor:
-		return true
-	}
-	return false
-}
-
 // Node is one signal source in the circuit: a primary input, a flip-flop
 // output, or a gate output. Its output signal carries the node's name.
 type Node struct {

@@ -27,16 +27,27 @@ func (e *Engine) SetProbe(seed int64, scalar bool) {
 // probeScratch holds the probe's lane buffers, built on first use so
 // engines that never probe pay nothing.
 type probeScratch struct {
-	valsG, valsF []sim.Word // good / faulty machine, one lane per bit
-	v3G, v3F     []sim.V3   // scalar oracle frames
+	g, f     *sim.Frame64 // good / faulty machine, one lane per bit
+	v3G, v3F []sim.V3     // scalar oracle frames
 }
 
+// probeBuf returns the scratch. The K rail of every PI and PPI is set
+// all-ones once: each sampled frame is fully binary, so the dual-rail
+// evaluation stays known everywhere and its V rail is the two-valued
+// result.
 func (e *Engine) probeBuf() *probeScratch {
 	if e.psc == nil {
-		n := len(e.net.C.Nodes)
+		c := e.net.C
+		n := len(c.Nodes)
 		e.psc = &probeScratch{
-			valsG: make([]sim.Word, n), valsF: make([]sim.Word, n),
+			g: e.net.NewFrame64(), f: e.net.NewFrame64(),
 			v3G: make([]sim.V3, n), v3F: make([]sim.V3, n),
+		}
+		for _, id := range c.PIs {
+			e.psc.g.K[id], e.psc.f.K[id] = sim.AllOnes, sim.AllOnes
+		}
+		for _, id := range c.DFFs {
+			e.psc.g.K[id], e.psc.f.K[id] = sim.AllOnes, sim.AllOnes
 		}
 	}
 	return e.psc
@@ -55,7 +66,7 @@ func (e *Engine) probeBuf() *probeScratch {
 // both branches remain enumerated, completeness is untouched.
 //
 // The default scoring is one lane-parallel pass per machine
-// (sim.Eval64); the scalar oracle replays the identical 64 sampled
+// (sim.Eval64DR); the scalar oracle replays the identical 64 sampled
 // frames one three-valued walk at a time. TestProbeScalarMatchesBatched
 // pins the two modes to identical swap decisions.
 func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
@@ -92,7 +103,7 @@ func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
 		default: // X5: one shared draw per lane
 			g = sim.Word(rng.Next())
 		}
-		ps.valsG[id], ps.valsF[id] = g, g
+		ps.g.V[id], ps.f.V[id] = g, g
 	}
 	for i, ff := range c.DFFs {
 		var g, fw sim.Word
@@ -109,7 +120,7 @@ func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
 			w := sim.Word(rng.Next())
 			g, fw = w, w
 		}
-		ps.valsG[ff], ps.valsF[ff] = g, fw
+		ps.g.V[ff], ps.f.V[ff] = g, fw
 	}
 
 	var diffPO, diffPPO sim.Word
@@ -126,20 +137,20 @@ func (p *propSearch) probeOrder(f *propFrame, pi int, val sim.V5) [2]sim.V5 {
 	return order
 }
 
-// probeBatched evaluates all 64 sampled lane pairs in two two-valued
+// probeBatched evaluates all 64 sampled lane pairs in two dual-rail
 // passes and returns the PO and PPO divergence words.
 func (p *propSearch) probeBatched(ps *probeScratch) (diffPO, diffPPO sim.Word) {
 	e := p.e
 	c := e.net.C
-	e.net.Eval64(ps.valsG)
-	e.net.Eval64(ps.valsF)
+	e.net.Eval64DR(ps.g, nil)
+	e.net.Eval64DR(ps.f, nil)
 	for _, po := range c.POs {
-		diffPO |= ps.valsG[po] ^ ps.valsF[po]
+		diffPO |= ps.g.V[po] ^ ps.f.V[po]
 	}
 	t := e.net.T
 	for _, ff := range c.DFFs {
 		d := t.Fanin[t.FaninOff[ff]]
-		diffPPO |= ps.valsG[d] ^ ps.valsF[d]
+		diffPPO |= ps.g.V[d] ^ ps.f.V[d]
 	}
 	return diffPO, diffPPO
 }
@@ -152,12 +163,12 @@ func (p *propSearch) probeScalar(ps *probeScratch) (diffPO, diffPPO sim.Word) {
 	t := e.net.T
 	for k := uint(0); k < 64; k++ {
 		for _, id := range c.PIs {
-			ps.v3G[id] = sim.V3(ps.valsG[id] >> k & 1)
-			ps.v3F[id] = sim.V3(ps.valsF[id] >> k & 1)
+			ps.v3G[id] = sim.V3(ps.g.V[id] >> k & 1)
+			ps.v3F[id] = sim.V3(ps.f.V[id] >> k & 1)
 		}
 		for _, id := range c.DFFs {
-			ps.v3G[id] = sim.V3(ps.valsG[id] >> k & 1)
-			ps.v3F[id] = sim.V3(ps.valsF[id] >> k & 1)
+			ps.v3G[id] = sim.V3(ps.g.V[id] >> k & 1)
+			ps.v3F[id] = sim.V3(ps.f.V[id] >> k & 1)
 		}
 		e.net.Eval3(ps.v3G, nil)
 		e.net.Eval3(ps.v3F, nil)

@@ -68,57 +68,52 @@ func (s *scheduler) newID() string {
 	return fmt.Sprintf("j%06d", s.nextID)
 }
 
-// submit registers the job and enqueues it. The registry is updated
-// before the enqueue so a client that immediately GETs the returned id
-// finds it; a full queue unregisters and reports ErrQueueFull.
+// submit enqueues the job and registers it, both under s.mu, so a
+// client that immediately GETs the returned id finds it and a full
+// queue leaves nothing behind. The send never blocks (runners never take
+// s.mu); a full queue reports ErrQueueFull.
 func (s *scheduler) submit(j *job) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
+	}
+	select {
+	case s.queue <- j:
+	default:
+		return ErrQueueFull
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.evictLocked()
-	s.mu.Unlock()
-
-	select {
-	case s.queue <- j:
-		return nil
-	default:
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		if n := len(s.order); n > 0 && s.order[n-1] == j.id {
-			s.order = s.order[:n-1]
-		}
-		s.mu.Unlock()
-		return ErrQueueFull
-	}
+	return nil
 }
 
 // evictLocked trims the oldest finished jobs beyond the retention
 // bound. Live (queued/running) jobs are never evicted, so the registry
-// can transiently exceed maxJobs under extreme concurrency.
+// can transiently exceed maxJobs under extreme concurrency. The walk
+// stops where the bound holds again: submit runs it under s.mu, and a
+// walk over the whole registry on every submit made s.mu the service's
+// bottleneck on cache hits.
 func (s *scheduler) evictLocked() {
 	if len(s.jobs) <= s.maxJobs {
 		return
 	}
 	kept := s.order[:0]
-	for _, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
+	for i, id := range s.order {
+		if len(s.jobs) <= s.maxJobs {
+			s.order = append(kept, s.order[i:]...)
+			return
 		}
-		if len(s.jobs) > s.maxJobs {
-			j.mu.Lock()
-			done := j.state == StateDone
-			j.mu.Unlock()
-			if done {
-				delete(s.jobs, id)
-				continue
-			}
+		j := s.jobs[id]
+		j.mu.Lock()
+		done := j.state == StateDone
+		j.mu.Unlock()
+		if done {
+			delete(s.jobs, id)
+		} else {
+			kept = append(kept, id)
 		}
-		kept = append(kept, id)
 	}
 	s.order = kept
 }

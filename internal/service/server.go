@@ -40,14 +40,6 @@ type Options struct {
 	// MaxJobs bounds the job registry; beyond it the oldest finished
 	// jobs are evicted (default 1024).
 	MaxJobs int
-	// MaxEventsPerJob bounds each job's event log; older events fall out
-	// of the SSE replay window with an explicit gap marker
-	// (default 1<<17).
-	MaxEventsPerJob int
-	// ResultCacheEntries and CircuitCacheEntries bound the two LRUs
-	// (defaults 256 and 64).
-	ResultCacheEntries  int
-	CircuitCacheEntries int
 	// CheckpointEvery is the period of the per-job checkpoint snapshots
 	// (default 250ms): how much committed work a killed daemon can lose
 	// at most. Snapshots are skipped for compacting jobs (compacted runs
@@ -78,20 +70,19 @@ func (o Options) withDefaults() Options {
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 1024
 	}
-	if o.MaxEventsPerJob <= 0 {
-		o.MaxEventsPerJob = 1 << 17
-	}
-	if o.ResultCacheEntries <= 0 {
-		o.ResultCacheEntries = 256
-	}
-	if o.CircuitCacheEntries <= 0 {
-		o.CircuitCacheEntries = 64
-	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 250 * time.Millisecond
 	}
 	return o
 }
+
+// Fixed service bounds: each job's event log (older events fall out of
+// the SSE replay window with an explicit gap marker) and the two LRUs.
+const (
+	maxEventsPerJob     = 1 << 17
+	resultCacheEntries  = 256
+	circuitCacheEntries = 64
+)
 
 // Server is the ATPG service: scheduler, caches and HTTP handlers.
 // Create with New, expose via Handler, stop with Close.
@@ -107,8 +98,8 @@ type Server struct {
 func New(opts Options) *Server {
 	s := &Server{
 		opts:     opts.withDefaults(),
-		circuits: newCircuitCache(opts.withDefaults().CircuitCacheEntries),
-		results:  newResultCache(opts.withDefaults().ResultCacheEntries),
+		circuits: newCircuitCache(circuitCacheEntries),
+		results:  newResultCache(resultCacheEntries),
 		mux:      http.NewServeMux(),
 	}
 	s.sched = newScheduler(s.opts.MaxQueue, s.opts.MaxRunningJobs, s.opts.MaxJobs, s.runJob)
@@ -267,7 +258,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cfg:         cfg,
 		cacheKey:    circuit.ContentHash() + "\x00" + cfgKey,
 		timeout:     timeout,
-		events:      newEventLog(s.opts.MaxEventsPerJob),
+		events:      newEventLog(maxEventsPerJob),
 		created:     time.Now(), //lint:allow determinism job wall-clock metadata; never part of a canonical result
 		state:       StateQueued,
 	}
@@ -338,7 +329,7 @@ func (s *Server) resumeJob(circuit *atpg.Circuit, ckpt *atpg.Checkpoint, timeout
 		cfg:         cfg,
 		cacheKey:    circuit.ContentHash() + "\x00" + cfgKey,
 		timeout:     timeout,
-		events:      newEventLog(s.opts.MaxEventsPerJob),
+		events:      newEventLog(maxEventsPerJob),
 		created:     time.Now(), //lint:allow determinism job wall-clock metadata; never part of a canonical result
 		state:       StateQueued,
 		resume:      &ck,

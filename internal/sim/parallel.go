@@ -9,76 +9,6 @@ type Word = uint64
 // AllOnes is the Word with every pattern bit set.
 const AllOnes = ^Word(0)
 
-// EvalGate64 evaluates one gate over 64 patterns at once.
-func EvalGate64(t netlist.GateType, ins []Word) Word {
-	var v Word
-	switch t {
-	case netlist.Buf, netlist.DFF:
-		return ins[0]
-	case netlist.Not:
-		return ^ins[0]
-	case netlist.And, netlist.Nand:
-		v = ^Word(0)
-		for _, in := range ins {
-			v &= in
-		}
-		if t == netlist.Nand {
-			v = ^v
-		}
-	case netlist.Or, netlist.Nor:
-		for _, in := range ins {
-			v |= in
-		}
-		if t == netlist.Nor {
-			v = ^v
-		}
-	case netlist.Xor, netlist.Xnor:
-		for _, in := range ins {
-			v ^= in
-		}
-		if t == netlist.Xnor {
-			v = ^v
-		}
-	default:
-		panic("sim: EvalGate64 on non-gate " + t.String())
-	}
-	return v
-}
-
-// Eval64 evaluates the combinational block over 64 patterns in parallel.
-// vals must hold PI and PPI words on entry. The fanin scratch lives on the
-// Net (sized once from the circuit's maximum fanin), so Eval64 never
-// allocates; a Net must therefore not run Eval64 from two goroutines at
-// once.
-func (n *Net) Eval64(vals []Word) {
-	t := n.T
-	for _, id := range t.Order {
-		beg, end := t.FaninOff[id], t.FaninOff[id+1]
-		buf := n.ins64[:end-beg]
-		for k := beg; k < end; k++ {
-			buf[k-beg] = vals[t.Fanin[k]]
-		}
-		vals[id] = EvalGate64(t.Types[id], buf)
-	}
-}
-
-// LoadFrame64 fills a fresh word array with PI and state words.
-func (n *Net) LoadFrame64(vector, state []Word) []Word {
-	c := n.C
-	vals := make([]Word, len(c.Nodes))
-	for i, pi := range c.PIs {
-		if vector != nil {
-			vals[pi] = vector[i]
-		}
-	}
-	for i, ff := range c.DFFs {
-		if state != nil {
-			vals[ff] = state[i]
-		}
-	}
-	return vals
-}
-
 // Frame64 is a 64-way dual-rail three-valued frame: for every node, bit k
 // of K says whether machine k knows the value, and bit k of V holds that
 // value (V bits are zero wherever K is zero). The encoding makes the

@@ -117,42 +117,3 @@ func TestEval64DRMatchesEval3(t *testing.T) {
 		}
 	}
 }
-
-// TestEval64DRBroadcastMatchesEval64 pins the two 64-way domains against
-// each other: with every rail known, the dual-rail evaluator must agree
-// with the plain two-valued Eval64.
-func TestEval64DRBroadcastMatchesEval64(t *testing.T) {
-	c := drTestCircuit(t)
-	n := NewNet(c)
-	rng := rand.New(rand.NewSource(7))
-
-	frame := n.NewFrame64()
-	for round := 0; round < 20; round++ {
-		vecW := make([]Word, len(c.PIs))
-		stateW := make([]Word, len(c.DFFs))
-		for i := range vecW {
-			vecW[i] = rng.Uint64()
-		}
-		for i := range stateW {
-			stateW[i] = rng.Uint64()
-		}
-		vals := n.LoadFrame64(vecW, stateW)
-		n.Eval64(vals)
-
-		for i, pi := range c.PIs {
-			frame.V[pi], frame.K[pi] = vecW[i], AllOnes
-		}
-		for i, ff := range c.DFFs {
-			frame.V[ff], frame.K[ff] = stateW[i], AllOnes
-		}
-		n.Eval64DR(frame, nil)
-		for id := range c.Nodes {
-			if frame.K[id] != AllOnes {
-				t.Fatalf("node %s lost knownness under fully known rails", c.Nodes[id].Name)
-			}
-			if frame.V[id] != vals[id] {
-				t.Fatalf("node %s: dual-rail %x, two-valued %x", c.Nodes[id].Name, frame.V[id], vals[id])
-			}
-		}
-	}
-}

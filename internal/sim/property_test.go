@@ -51,11 +51,13 @@ func TestEval8EndpointsProperty(t *testing.T) {
 	}
 }
 
-// TestParallelScalarProperty: the 64-way parallel simulator agrees with
-// the scalar one on arbitrary patterns of arbitrary suite circuits.
+// TestParallelScalarProperty: the 64-way dual-rail simulator with every
+// input rail known agrees with the scalar one on arbitrary patterns of
+// arbitrary suite circuits, and every node stays known.
 func TestParallelScalarProperty(t *testing.T) {
 	net := NewNet(bench.ProfileByName("s386").Circuit())
 	c := net.C
+	frame := net.NewFrame64()
 	f := func(seed int64, lane uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vecW := make([]Word, len(c.PIs))
@@ -66,8 +68,19 @@ func TestParallelScalarProperty(t *testing.T) {
 		for i := range stateW {
 			stateW[i] = rng.Uint64()
 		}
-		valsW := net.LoadFrame64(vecW, stateW)
-		net.Eval64(valsW)
+		for i, pi := range c.PIs {
+			frame.V[pi], frame.K[pi] = vecW[i], AllOnes
+		}
+		for i, ff := range c.DFFs {
+			frame.V[ff], frame.K[ff] = stateW[i], AllOnes
+		}
+		net.Eval64DR(frame, nil)
+		for _, k := range frame.K {
+			if k != AllOnes {
+				return false
+			}
+		}
+		valsW := frame.V
 
 		k := uint(lane) % 64
 		vec := make([]V3, len(c.PIs))

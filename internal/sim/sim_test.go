@@ -252,8 +252,12 @@ func TestParallelMatchesScalar(t *testing.T) {
 	for i := range vecW {
 		vecW[i] = rng.Uint64()
 	}
-	valsW := n.LoadFrame64(vecW, nil)
-	n.Eval64(valsW)
+	frame := n.NewFrame64()
+	for i, pi := range c.PIs {
+		frame.V[pi], frame.K[pi] = vecW[i], AllOnes
+	}
+	n.Eval64DR(frame, nil)
+	valsW := frame.V
 	for k := 0; k < 64; k++ {
 		vec := make([]V3, len(c.PIs))
 		for i := range vec {

@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"fogbuster/internal/core"
-	"fogbuster/internal/faults"
-	"fogbuster/internal/order"
 )
 
 // ShardInfo describes the targeting-order window a partial Result
@@ -322,30 +319,18 @@ func MergeResults(parts ...*Result) (*Result, error) {
 			seq.Detects = nil
 			out.Faults[fi].Status = StatusTested
 			out.Faults[fi].Seq = &seq
-			out.Tested++
-			out.Explicit++
-			out.Patterns += seq.Len()
 			for _, d := range detects {
 				if d >= 0 && d < len(out.Faults) && out.Faults[d].Status == StatusPending {
 					out.Faults[d].Status = StatusTestedBySim
-					out.Tested++
 				}
 			}
-		case StatusUntestable:
-			out.Faults[fi].Status = StatusUntestable
-			out.Untestable++
-		case StatusAborted:
-			out.Faults[fi].Status = StatusAborted
-			out.Aborted++
+		case StatusUntestable, StatusAborted:
+			out.Faults[fi].Status = row.Status
 		default:
 			return nil, fmt.Errorf("atpg: part %d carries no explicit outcome for fault %d at position %d (status %q); parts must come from deferred-credit shard runs", owner[p], fi, p, row.Status)
 		}
 	}
-	for _, fr := range out.Faults {
-		if fr.Status == StatusPending {
-			out.Pending++
-		}
-	}
+	out.tally()
 	for _, p := range parts {
 		out.ValidationFailures += p.ValidationFailures
 	}
@@ -366,25 +351,7 @@ func stitchPrefix(res, prefix *Result) {
 			r.Seq = p.Seq
 		}
 	}
-	res.Tested, res.Explicit, res.Untestable, res.Aborted, res.Pending, res.Patterns = 0, 0, 0, 0, 0, 0
-	for _, fr := range res.Faults {
-		switch fr.Status {
-		case StatusTested:
-			res.Tested++
-			res.Explicit++
-		case StatusTestedBySim:
-			res.Tested++
-		case StatusUntestable:
-			res.Untestable++
-		case StatusAborted:
-			res.Aborted++
-		default:
-			res.Pending++
-		}
-		if fr.Seq != nil {
-			res.Patterns += fr.Seq.Len()
-		}
-	}
+	res.tally()
 	res.ValidationFailures += prefix.ValidationFailures
 	if res.Shard != nil && prefix.Shard != nil {
 		pos := make([]int, 0, len(prefix.Shard.Positions)+len(res.Shard.Positions))
@@ -392,126 +359,4 @@ func stitchPrefix(res, prefix *Result) {
 		pos = append(pos, res.Shard.Positions...)
 		res.Shard.Positions = pos
 	}
-}
-
-// tracker accumulates the committed prefix of a live run so
-// Session.Checkpoint can snapshot it mid-flight. Engine events are
-// staged in a buffer and folded into the published state only at
-// progress boundaries — a position's classification, sequence and
-// credit events all precede its progress event — so a snapshot never
-// observes a torn position.
-type tracker struct {
-	c         *Circuit
-	cfg       Config
-	detectIdx map[faults.Delay]int // shard mode only
-
-	buf []core.Event // staged since the last progress event; Run goroutine only
-
-	mu       sync.Mutex
-	cursor   int // last committed position boundary; -1 until the first
-	status   []Status
-	seqs     []*Sequence
-	order    []int // fault index of each committed position, in commit order
-	patterns int
-	valFail  int
-	names    []string // lazily resolved fault names
-}
-
-func newTracker(c *Circuit, cfg Config) *tracker {
-	n := c.Faults()
-	t := &tracker{c: c, cfg: cfg, cursor: -1, status: make([]Status, n), seqs: make([]*Sequence, n)}
-	for i := range t.status {
-		t.status[i] = StatusPending
-	}
-	if cfg.Shards > 0 {
-		all := faults.AllDelay(c.c)
-		t.detectIdx = make(map[faults.Delay]int, len(all))
-		for i, f := range all {
-			t.detectIdx[f] = i
-		}
-	}
-	return t
-}
-
-// observe consumes one engine event on the Run goroutine.
-func (t *tracker) observe(ev core.Event) {
-	if ev.Kind != core.EventProgress {
-		t.buf = append(t.buf, ev)
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, e := range t.buf {
-		switch e.Kind {
-		case core.EventFaultClassified:
-			t.status[e.Index] = statusOf(e.Status)
-			t.valFail += e.ValFail
-			t.order = append(t.order, e.Index)
-		case core.EventSequenceGenerated:
-			t.seqs[e.Index] = sequenceOf(t.c.c, e.Seq, t.detectIdx)
-			t.patterns += e.Seq.Len()
-		case core.EventCreditApplied:
-			t.status[e.Index] = StatusTestedBySim
-		}
-	}
-	t.buf = t.buf[:0]
-	t.cursor = ev.Done
-}
-
-// snapshot builds the committed-prefix Result as of the last progress
-// boundary. startCursor is the position the run began at (a resumed or
-// shard run starts mid-permutation); it is the cursor when no position
-// has committed yet.
-func (t *tracker) snapshot(startCursor int) *Result {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.names == nil {
-		all := faults.AllDelay(t.c.c)
-		t.names = make([]string, len(all))
-		for i, f := range all {
-			t.names[i] = f.Name(t.c.c)
-		}
-	}
-	cursor := t.cursor
-	if cursor < 0 {
-		cursor = startCursor
-	}
-	alg, _ := t.cfg.algebra() // cfg was validated at session build
-	h, _ := order.Parse(t.cfg.Order)
-	res := &Result{
-		Circuit: t.c.c.Name, Algebra: alg.Name(), Order: h.Name(),
-		Seed: t.cfg.Seed, Workers: t.cfg.Workers,
-		ValidationFailures: t.valFail,
-		Patterns:           t.patterns,
-		Faults:             make([]FaultResult, len(t.status)),
-	}
-	for i, st := range t.status {
-		res.Faults[i] = FaultResult{Fault: t.names[i], Status: st, Seq: t.seqs[i]}
-		switch st {
-		case StatusTested:
-			res.Tested++
-			res.Explicit++
-		case StatusTestedBySim:
-			res.Tested++
-		case StatusUntestable:
-			res.Untestable++
-		case StatusAborted:
-			res.Aborted++
-		default:
-			res.Pending++
-		}
-	}
-	res.Cursor = cursor
-	if t.cfg.Shards > 0 {
-		total := effTargets(len(t.status), t.cfg)
-		lo, hi := shardRange(total, t.cfg.Shards, t.cfg.ShardIndex)
-		key, _ := t.cfg.runKey()
-		res.Shard = &ShardInfo{
-			Shards: t.cfg.Shards, Index: t.cfg.ShardIndex,
-			Lo: lo, Hi: hi, Total: total, Cursor: cursor,
-			ConfigKey: key,
-			Positions: append([]int(nil), t.order...),
-		}
-	}
-	return res
 }

@@ -245,6 +245,29 @@ func (r *Result) Classified() int {
 	return r.Tested + r.Untestable + r.Aborted
 }
 
+// tally recounts the status columns and the pattern total from Faults.
+func (r *Result) tally() {
+	r.Tested, r.Explicit, r.Untestable, r.Aborted, r.Pending, r.Patterns = 0, 0, 0, 0, 0, 0
+	for _, fr := range r.Faults {
+		switch fr.Status {
+		case StatusTested:
+			r.Tested++
+			r.Explicit++
+		case StatusTestedBySim:
+			r.Tested++
+		case StatusUntestable:
+			r.Untestable++
+		case StatusAborted:
+			r.Aborted++
+		default:
+			r.Pending++
+		}
+		if fr.Seq != nil {
+			r.Patterns += fr.Seq.Len()
+		}
+	}
+}
+
 // EncodeJSON writes the canonical JSON document for v (a Result, a
 // Result slice, a Sequence, …): two-space indentation, no HTML escaping
 // (fault names contain "->"), one trailing newline. The golden tests pin
@@ -342,11 +365,6 @@ func resultOf(c *netlist.Circuit, cfg Config, sum *core.Summary, runErr error) *
 		Order:              sum.Order,
 		Seed:               cfg.Seed,
 		Workers:            cfg.Workers,
-		Tested:             sum.Tested,
-		Explicit:           sum.Explicit,
-		Untestable:         sum.Untestable,
-		Aborted:            sum.Aborted,
-		Patterns:           sum.Patterns,
 		Runtime:            sum.Runtime,
 		ValidationFailures: sum.ValidationFailures,
 		Faults:             make([]FaultResult, len(sum.Results)),
@@ -364,11 +382,9 @@ func resultOf(c *netlist.Circuit, cfg Config, sum *core.Summary, runErr error) *
 		if fr.Seq != nil {
 			out.Seq = sequenceOf(c, fr.Seq, detectIdx)
 		}
-		if out.Status == StatusPending {
-			r.Pending++
-		}
 		r.Faults[i] = out
 	}
+	r.tally()
 	if runErr != nil {
 		r.Cursor = sum.Cursor
 	}
@@ -384,6 +400,9 @@ func resultOf(c *netlist.Circuit, cfg Config, sum *core.Summary, runErr error) *
 		}
 	}
 	if sum.Compaction != nil {
+		// Splices shortened the kept sequences; Patterns still counts
+		// every generated vector.
+		r.Patterns = sum.Patterns
 		st := sum.Compaction
 		r.Compaction = &Compaction{
 			Sequences: st.Sequences, Kept: st.Kept, Dropped: st.Dropped,

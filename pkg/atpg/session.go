@@ -37,11 +37,7 @@ type Session struct {
 	// prefix is the committed prefix of the checkpoint a resumed session
 	// continues from (nil for a fresh run); Run and Checkpoint stitch it
 	// into their Results.
-	track *tracker // live checkpoint state; nil under Config.Compact
-	// startCursor is the targeting position the engine starts at: the
-	// shard window's Lo, the checkpoint's cursor on resume, 0 otherwise.
-	startCursor int
-	prefix      *Result
+	prefix *Result
 
 	mu    sync.Mutex
 	final *Result // the Result Run returned, once it has
@@ -83,20 +79,14 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint, patch func(*core.Optio
 		compactOpts: compact.Options{Algebra: opts.Algebra, Seed: cfg.Seed, FullEval: opts.FullEval},
 	}
 	if cfg.Shards > 0 {
-		lo, hi := shardRange(effTargets(c.Faults(), cfg), cfg.Shards, cfg.ShardIndex)
-		opts.ShardLo, opts.ShardHi = lo, hi
-		s.startCursor = lo
+		opts.ShardLo, opts.ShardHi = shardRange(effTargets(c.Faults(), cfg), cfg.Shards, cfg.ShardIndex)
 	}
 	if ckpt != nil {
 		// The prefix [0 or shard Lo, cursor) is committed: preload its
 		// statuses and start the engine window at the cursor.
 		opts.ShardLo = ckpt.Cursor
 		opts.Preload = preloadOf(ckpt.Result)
-		s.startCursor = ckpt.Cursor
 		s.prefix = ckpt.Result
-	}
-	if !cfg.Compact {
-		s.track = newTracker(c, cfg)
 	}
 	opts.OnEvent = s.emit
 	// Reuse the circuit's memoized topology so concurrent sessions over
@@ -113,7 +103,8 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint, patch func(*core.Optio
 
 // OnEvent registers a callback receiving every streaming event
 // synchronously on the Run goroutine, in commit order. It must be called
-// before Run and must not call back into the session.
+// before Run. The callback may take a Checkpoint, which then covers
+// every position up to the event's own; it must not call Run.
 func (s *Session) OnEvent(fn func(Event)) { s.onEvent = fn }
 
 // Events returns the lossless streaming event channel. It must be
@@ -140,9 +131,6 @@ func (s *Session) Events() <-chan Event {
 // consumer it returns before converting (name resolution and frame
 // strings would otherwise burn on every commit of a plain Run).
 func (s *Session) emit(ev core.Event) {
-	if s.track != nil {
-		s.track.observe(ev)
-	}
 	if s.onEvent == nil && s.events == nil {
 		return
 	}
@@ -185,14 +173,21 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 			return nil, errors.New("atpg: compaction refused: recorded detection sets are absent or incomplete")
 		}
 	}
-	res := resultOf(s.circuit.c, s.cfg, sum, runErr)
-	if s.prefix != nil {
-		stitchPrefix(res, s.prefix)
-	}
+	res := s.result(sum, runErr)
 	s.mu.Lock()
 	s.final = res
 	s.mu.Unlock()
 	return res, runErr
+}
+
+// result converts an engine Summary into the session's Result, with
+// the prefix of a resumed session stitched in.
+func (s *Session) result(sum *core.Summary, runErr error) *Result {
+	res := resultOf(s.circuit.c, s.cfg, sum, runErr)
+	if s.prefix != nil {
+		stitchPrefix(res, s.prefix)
+	}
+	return res
 }
 
 // Checkpoint snapshots the run's committed prefix as a resumable
@@ -211,16 +206,15 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if final != nil {
 		return CheckpointOf(final, s.circuit.ContentHash(), s.cfg)
 	}
-	res := s.track.snapshot(s.startCursor)
-	if s.prefix != nil {
-		stitchPrefix(res, s.prefix)
-	}
 	key, err := s.cfg.CacheKey()
 	if err != nil {
 		return nil, err // unreachable: cfg was validated at session build
 	}
-	// snapshot records the live cursor on the Result directly; the
+	sum := s.eng.Committed()
+	res := s.result(sum, nil)
+	// A live prefix records its cursor on the Result directly; the
 	// inference CheckpointOf applies to finished Results does not see an
 	// in-flight one.
-	return &Checkpoint{CircuitHash: s.circuit.ContentHash(), ConfigKey: key, Cursor: res.Cursor, Result: res}, nil
+	res.Cursor = sum.Cursor
+	return &Checkpoint{CircuitHash: s.circuit.ContentHash(), ConfigKey: key, Cursor: sum.Cursor, Result: res}, nil
 }
